@@ -1,0 +1,47 @@
+"""Golden-report test of the demo pipeline.
+
+Builds the demo dataset with scripts/make_demo_data.py, runs every step of
+scripts/run_demo_pipeline.py and compares the text reports and the paired
+significance-test stdout lines byte for byte with the files under
+tests/data/. A change to any metric, report line or test statistic on the
+demo data shows up here.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script), *args],
+        cwd=ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc.stdout
+
+
+def _golden(name):
+    with open(os.path.join(DATA, name), "rb") as fh:
+        return fh.read()
+
+
+def test_demo_reports_match_golden_files(tmp_path):
+    demo = str(tmp_path / "demo")
+    _run("make_demo_data.py", demo)
+    stdout = _run("run_demo_pipeline.py", demo)
+
+    out = tmp_path / "demo" / "out"
+    assert (out / "tagging.report").read_bytes() == _golden("demo_tagging.report")
+    assert (out / "geocoding.report").read_bytes() == _golden("demo_geocoding.report")
+    stat_lines = b"".join(
+        line for line in stdout.splitlines(keepends=True)
+        if line.startswith((b"mcnemar:", b"wilcoxon:"))
+    )
+    assert stat_lines == _golden("demo_stat_lines.txt")

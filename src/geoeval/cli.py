@@ -13,6 +13,7 @@ flows from explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ from typing import Optional, Sequence
 
 from . import augment as augment_mod
 from . import corpus, gazetteer, metrics, resolver, stats, tagger
-from .geodesy import great_circle_distance
 
 PROG = "geoeval"
 
@@ -112,7 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> type converter of every typed flag `command` accepts."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [*parser._actions, *sub.choices[command]._actions]
+    return {a.dest: a.type for a in actions if a.type is not None}
+
+
+def _apply_config(args: argparse.Namespace, types: dict) -> None:
+    """Fill unset flags from --config, then _DEFAULTS.
+
+    A config value goes through its flag's type as if typed on the command
+    line, so {"k": "2"} and {"k": 2} both give 2.
+    """
     config = {}
     if args.config:
         try:
@@ -124,11 +136,16 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise InputError(f"config {args.config} must be a JSON object")
         config = {str(k).replace("-", "_"): v for k, v in config.items()}
     for dest, value in vars(args).items():
-        if value is None:
-            if dest in config:
-                setattr(args, dest, config[dest])
-            elif dest in _DEFAULTS:
-                setattr(args, dest, _DEFAULTS[dest])
+        if value is None and dest in config:
+            value = config[dest]
+            if dest in types:
+                try:
+                    value = types[dest](str(value))
+                except ValueError as exc:
+                    raise InputError(f"config {args.config}: bad value {value!r} for {dest!r}") from exc
+            setattr(args, dest, value)
+        elif value is None and dest in _DEFAULTS:
+            setattr(args, dest, _DEFAULTS[dest])
 
 
 def _load_gold(path: str) -> list[corpus.Document]:
@@ -162,58 +179,33 @@ def _load_predictions(path: str, lenient: bool) -> list[corpus.PredictionRecord]
     return records
 
 
-def _gold_spans_for_eval(
-    docs: list[corpus.Document],
-    index: Optional[gazetteer.GazetteerIndex],
-    need_coords: bool,
-    warnings: list[str],
-) -> list[metrics.GoldSpan]:
-    if index is not None:
-        result = corpus.apply_exclusion_policy(docs, index)
-        if result.excluded:
-            warnings.append(f"excluded {len(result.excluded)} gold annotations by policy")
-        return result.kept
-    spans = corpus.gold_spans(docs)
-    if need_coords:
-        with_coords = [(d, a) for d, a in spans if a.coord is not None]
-        dropped = len(spans) - len(with_coords)
-        if dropped:
-            warnings.append(
-                f"{dropped} gold annotations without coordinates ignored (no --cache supplied)"
-            )
-        return with_coords
-    return spans
-
-
 def _write_report(report: metrics.EvalReport, out_path: str, csv_path: Optional[str]) -> None:
+    header = list(metrics.REPORT_CSV_COLUMNS)
+    appending = bool(csv_path) and os.path.exists(csv_path) and os.path.getsize(csv_path) > 0
+    if appending:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            if next(csv.reader(fh), None) != header:
+                raise InputError(f"CSV file {csv_path} has another header; append to a new file")
     rendered = metrics.render_report(report)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(rendered)
     if csv_path:
-        thresholds = (
-            tuple(sorted(report.geocoding.accuracy_at_km))
-            if report.geocoding is not None
-            else (metrics.DEFAULT_THRESHOLD_KM,)
-        )
-        need_header = not os.path.exists(csv_path)
-        with open(csv_path, "a", encoding="utf-8") as fh:
-            if need_header:
-                fh.write(metrics.report_csv_header(thresholds) + "\n")
-            fh.write(metrics.report_csv_row(report) + "\n")
+        with open(csv_path, "a", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            if not appending:
+                writer.writerow(header)
+            writer.writerows(metrics.report_csv_rows(report))
     sys.stdout.write(rendered)
 
 
-def _significance_summary(p_value: float) -> str:
-    verdicts = []
-    for alpha in stats.REPORTING_ALPHAS:
-        verdict = "significant" if p_value < alpha else "not significant"
-        verdicts.append(f"{verdict} at {alpha}")
-    return "; ".join(verdicts)
-
-
-def _gold_key(pair: metrics.MatchedPair) -> tuple[str, int, int]:
-    (doc_id, ann), _ = pair
-    return (doc_id, ann.start, ann.end)
+def _stat_test_line(test: stats.StatTestResult) -> str:
+    verdicts = "; ".join(
+        f"{'significant' if test.p_value < alpha else 'not significant'} at {alpha}"
+        for alpha in stats.REPORTING_ALPHAS
+    )
+    if test.name == "wilcoxon":
+        return f"wilcoxon: z={test.statistic:.4f} p={test.p_value:.6g} n={test.n} ({verdicts})"
+    return f"{test.name}: statistic={test.statistic:.4f} p={test.p_value:.6g} ({verdicts})"
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -230,58 +222,27 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval_tagging(args: argparse.Namespace) -> int:
+def _evaluate(args: argparse.Namespace, thresholds_km: Optional[list[float]]) -> int:
     docs = _load_gold(args.gold)
     index = _load_index(args.cache) if args.cache else None
-    warnings: list[str] = []
-    gold = _gold_spans_for_eval(docs, index, need_coords=False, warnings=warnings)
     records = _load_predictions(args.pred, args.lenient)
-    mode = metrics.MatchMode(args.mode)
-    match = metrics.match_spans(gold, records, mode)
-
-    report = metrics.EvalReport(
-        dataset_id=args.dataset_id or os.path.basename(os.path.normpath(args.gold)),
-        gazetteer_version=index.version if index else "none",
-        n_gold=len(gold),
-        n_predicted=len(records),
-        n_resolved=sum(1 for r in records if r.predicted_coord is not None),
-        tagging=metrics.tagging_metrics(match.counts),
-        warnings=warnings,
+    records_b = _load_predictions(args.pred_b, args.lenient) if args.pred_b else None
+    dataset_id = args.dataset_id or os.path.basename(os.path.normpath(args.gold))
+    report = metrics.evaluate(
+        docs, records, dataset_id, index=index, mode=metrics.MatchMode(args.mode),
+        thresholds_km=thresholds_km, pred_b=records_b,
     )
-
-    if args.pred_b:
-        records_b = _load_predictions(args.pred_b, args.lenient)
-        match_b = metrics.match_spans(gold, records_b, mode)
-        correct_a = {_gold_key(p) for p in match.pairs}
-        correct_b = {_gold_key(p) for p in match_b.pairs}
-        table = stats.McNemarTable(
-            b=len(correct_a - correct_b),
-            c=len(correct_b - correct_a),
-        )
-        result = stats.mcnemar(table)
-        report.stat_tests.append(
-            stats.StatTestResult("mcnemar", result.statistic, result.p_value, table.b + table.c)
-        )
-        if result.unreliable:
-            warnings.append(
-                f"mcnemar: only {table.b + table.c} disagreements; "
-                f"chi-squared approximation unreliable below {stats.MCNEMAR_RELIABLE_MIN}"
-            )
-        print(
-            f"mcnemar: statistic={result.statistic:.4f} p={result.p_value:.6g} "
-            f"({_significance_summary(result.p_value)})"
-        )
-
+    for test in report.stat_tests:
+        print(_stat_test_line(test))
     _write_report(report, args.out, args.csv)
     return 0
 
 
+def cmd_eval_tagging(args: argparse.Namespace) -> int:
+    return _evaluate(args, thresholds_km=None)
+
+
 def cmd_eval_geocoding(args: argparse.Namespace) -> int:
-    docs = _load_gold(args.gold)
-    index = _load_index(args.cache) if args.cache else None
-    warnings: list[str] = []
-    gold = _gold_spans_for_eval(docs, index, need_coords=True, warnings=warnings)
-    records = _load_predictions(args.pred, args.lenient)
     try:
         if isinstance(args.thresholds, (list, tuple)):
             thresholds = [float(t) for t in args.thresholds]
@@ -291,67 +252,7 @@ def cmd_eval_geocoding(args: argparse.Namespace) -> int:
             raise ValueError("empty threshold list")
     except ValueError as exc:
         raise InputError(f"bad --thresholds value {args.thresholds!r}") from exc
-    mode = metrics.MatchMode(args.mode)
-
-    match = metrics.match_spans(gold, records, mode)
-    dist, unresolved = metrics.geocoding_errors(match.pairs)
-    n_tagged = len(match.pairs)
-    if n_tagged:
-        resolved_fraction = dist.n / n_tagged
-        if resolved_fraction < resolver.MIN_RESOLVED_FRACTION:
-            warnings.append(
-                f"only {resolved_fraction:.0%} of geotagged toponyms were resolved; "
-                f"below the {resolver.MIN_RESOLVED_FRACTION:.0%} representativeness minimum"
-            )
-    if unresolved:
-        warnings.append(f"{unresolved} matched toponyms had no predicted coordinates")
-
-    report = metrics.EvalReport(
-        dataset_id=args.dataset_id or os.path.basename(os.path.normpath(args.gold)),
-        gazetteer_version=index.version if index else "none",
-        n_gold=len(gold),
-        n_predicted=len(records),
-        n_resolved=dist.n,
-        geocoding=metrics.geocoding_metrics(dist, thresholds) if dist.n else None,
-        warnings=warnings,
-    )
-    if dist.n == 0:
-        warnings.append("no resolved true positives; geocoding metrics undefined")
-
-    if args.pred_b:
-        records_b = _load_predictions(args.pred_b, args.lenient)
-        match_b = metrics.match_spans(gold, records_b, mode)
-        errors_a = _errors_by_gold_key(match.pairs)
-        errors_b = _errors_by_gold_key(match_b.pairs)
-        common = sorted(set(errors_a) & set(errors_b))
-        if not common:
-            warnings.append("wilcoxon: no toponyms resolved by both systems")
-        else:
-            result = stats.wilcoxon_signed_rank(
-                [errors_a[k] for k in common], [errors_b[k] for k in common]
-            )
-            report.stat_tests.append(
-                stats.StatTestResult("wilcoxon", result.z, result.p_value, result.n)
-            )
-            if result.note:
-                warnings.append(f"wilcoxon: {result.note}")
-            print(
-                f"wilcoxon: z={result.z:.4f} p={result.p_value:.6g} n={result.n} "
-                f"({_significance_summary(result.p_value)})"
-            )
-
-    _write_report(report, args.out, args.csv)
-    return 0
-
-
-def _errors_by_gold_key(pairs: list[metrics.MatchedPair]) -> dict[tuple[str, int, int], float]:
-    out = {}
-    for pair in pairs:
-        (_, ann), rec = pair
-        if ann.coord is None or rec.predicted_coord is None:
-            continue
-        out[_gold_key(pair)] = great_circle_distance(rec.predicted_coord, ann.coord)
-    return out
+    return _evaluate(args, thresholds_km=thresholds)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
@@ -445,7 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, _flag_types(parser, args.command))
         return args.func(args)
     except InputError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -380,7 +380,9 @@ def load_document_pair(
     txt_path: str, ann_path: str, config: Optional[BratConfig] = None
 ) -> Document:
     doc_id = os.path.splitext(os.path.basename(txt_path))[0]
-    with open(txt_path, encoding="utf-8") as fh:
+    # newline="" keeps "\r\n" as two code points, as BRAT offsets count
+    # them; a UTF-8 BOM is kept as U+FEFF and counted too.
+    with open(txt_path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     with open(ann_path, encoding="utf-8") as fh:
         ann = fh.read()

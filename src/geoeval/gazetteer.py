@@ -166,14 +166,24 @@ def dump_checksum(path: str) -> str:
     return f"sha256:{digest.hexdigest()[:16]}"
 
 
-def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> GazetteerIndex:
-    """Ingest a dump file; the index version records the dump checksum."""
+def _ingest_file(path: str, feature_classes: Optional[set[str]], version: str) -> GazetteerIndex:
     try:
-        version = dump_checksum(path)
         with open(path, encoding="utf-8") as fh:
             return ingest(fh, feature_classes=feature_classes, version=version)
     except (OSError, UnicodeDecodeError) as exc:
         raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc
+
+
+def _checksum(path: str) -> str:
+    try:
+        return dump_checksum(path)
+    except OSError as exc:
+        raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc
+
+
+def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> GazetteerIndex:
+    """Ingest a dump file; the index version records the dump checksum."""
+    return _ingest_file(path, feature_classes, _checksum(path))
 
 
 def save_cache(index: GazetteerIndex, path: str, feature_classes: Optional[set[str]] = None) -> None:
@@ -187,7 +197,8 @@ def save_cache(index: GazetteerIndex, path: str, feature_classes: Optional[set[s
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def load_cache(path: str) -> GazetteerIndex:
+def _read_cache(path: str) -> dict:
+    """The validated cache payload; GazetteerError when unusable."""
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -195,7 +206,13 @@ def load_cache(path: str) -> GazetteerIndex:
         raise GazetteerError(f"cannot read gazetteer cache {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format_version") != CACHE_FORMAT_VERSION:
         raise GazetteerError(f"gazetteer cache {path} has an unsupported format version")
-    return payload["index"]
+    if not isinstance(payload.get("index"), GazetteerIndex):
+        raise GazetteerError(f"gazetteer cache {path} holds no gazetteer index")
+    return payload
+
+
+def load_cache(path: str) -> GazetteerIndex:
+    return _read_cache(path)["index"]
 
 
 def load_or_ingest(
@@ -206,23 +223,18 @@ def load_or_ingest(
     """Return (index, cache_hit): reuse the cache when it matches the dump.
 
     A cache matches when its embedded checksum equals the dump checksum
-    and it was built with the same feature-class filter.
+    and it was built with the same feature-class filter. An unreadable or
+    mismatched cache is rebuilt; the dump is hashed once either way.
     """
-    checksum = dump_checksum(dump_path)
+    checksum = _checksum(dump_path)
     wanted_filter = sorted(feature_classes) if feature_classes is not None else None
     try:
-        with open(cache_path, "rb") as fh:
-            payload = pickle.load(fh)
-        if (
-            isinstance(payload, dict)
-            and payload.get("format_version") == CACHE_FORMAT_VERSION
-            and payload.get("checksum") == checksum
-            and payload.get("feature_classes") == wanted_filter
-        ):
+        payload = _read_cache(cache_path)
+        if payload.get("checksum") == checksum and payload.get("feature_classes") == wanted_filter:
             return payload["index"], True
-    except (OSError, pickle.UnpicklingError, EOFError):
+    except GazetteerError:
         pass
-    index = ingest_path(dump_path, feature_classes=feature_classes)
+    index = _ingest_file(dump_path, feature_classes, checksum)
     save_cache(index, cache_path, feature_classes=feature_classes)
     return index, False
 

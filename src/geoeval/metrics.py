@@ -7,7 +7,9 @@ accuracy@X km, and the area under the log-scaled error curve (AUC), plus
 the median for reference. AUC uses ln(1 + x) rather than a bare logarithm
 so that zero-error resolutions integrate to zero instead of diverging; the
 normaliser ln(1 + 20039) keeps the all-worst-case distribution at exactly
-1.0.
+1.0. `evaluate` runs the whole scoring of one system (gold selection,
+matching, one metric section, the paired test against a second system)
+for both eval subcommands.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from . import corpus
 from .corpus import PredictionRecord, ToponymAnnotation
+from .gazetteer import GazetteerIndex
 from .geodesy import MAX_ERROR_KM, great_circle_distance
-from .stats import StatTestResult
+from .resolver import MIN_RESOLVED_FRACTION
+from .stats import MCNEMAR_RELIABLE_MIN, McNemarTable, StatTestResult, mcnemar, wilcoxon_signed_rank
 
 DEFAULT_THRESHOLD_KM = 161.0
 
@@ -29,6 +34,7 @@ _LOG_MAX = math.log1p(MAX_ERROR_KM)
 
 GoldSpan = tuple[str, ToponymAnnotation]
 MatchedPair = tuple[GoldSpan, PredictionRecord]
+GoldKey = tuple[str, int, int]  # (doc_id, start, end): what paired tests compare on
 
 
 class MatchMode(Enum):
@@ -117,6 +123,7 @@ class FScore:
     precision: float
     recall: float
     f: float
+    counts: TaggingCounts
     degenerate: bool = False  # a denominator was zero
 
 
@@ -135,8 +142,12 @@ def f_score(counts: TaggingCounts) -> FScore:
         precision=precision,
         recall=recall,
         f=f_from_precision_recall(precision, recall),
+        counts=counts,
         degenerate=degenerate,
     )
+
+
+tagging_metrics = f_score  # the report's tagging section is the F-score itself
 
 
 class ErrorDistribution:
@@ -207,29 +218,27 @@ def auc(dist: ErrorDistribution) -> float:
     return area / ((dist.n - 1) * _LOG_MAX)
 
 
+def _keyed_errors(pairs: Iterable[MatchedPair]) -> tuple[list[tuple[GoldKey, float]], int]:
+    """Great-circle error of every matched, resolved pair, keyed by gold span."""
+    errors: list[tuple[GoldKey, float]] = []
+    unresolved = 0
+    for (doc_id, ann), rec in pairs:
+        if ann.coord is None or rec.predicted_coord is None:
+            unresolved += 1
+            continue
+        error = great_circle_distance(rec.predicted_coord, ann.coord)
+        errors.append(((doc_id, ann.start, ann.end), error))
+    return errors, unresolved
+
+
 def geocoding_errors(pairs: Iterable[MatchedPair]) -> tuple[ErrorDistribution, int]:
     """Great-circle error for every matched, resolved pair.
 
     Pairs missing either gold or predicted coordinates cannot be scored;
     they are counted (second return value) rather than silently dropped.
     """
-    errors: list[float] = []
-    unresolved = 0
-    for (_, ann), rec in pairs:
-        if ann.coord is None or rec.predicted_coord is None:
-            unresolved += 1
-            continue
-        errors.append(great_circle_distance(rec.predicted_coord, ann.coord))
-    return ErrorDistribution(errors), unresolved
-
-
-@dataclass
-class TaggingMetrics:
-    precision: float
-    recall: float
-    f_score: float
-    counts: TaggingCounts
-    degenerate: bool = False
+    errors, unresolved = _keyed_errors(pairs)
+    return ErrorDistribution(e for _, e in errors), unresolved
 
 
 @dataclass
@@ -250,21 +259,10 @@ class EvalReport:
     n_gold: int = 0
     n_predicted: int = 0
     n_resolved: int = 0
-    tagging: Optional[TaggingMetrics] = None
+    tagging: Optional[FScore] = None
     geocoding: Optional[GeocodingMetrics] = None
     warnings: list[str] = field(default_factory=list)
     stat_tests: list[StatTestResult] = field(default_factory=list)
-
-
-def tagging_metrics(counts: TaggingCounts) -> TaggingMetrics:
-    score = f_score(counts)
-    return TaggingMetrics(
-        precision=score.precision,
-        recall=score.recall,
-        f_score=score.f,
-        counts=counts,
-        degenerate=score.degenerate,
-    )
 
 
 def geocoding_metrics(
@@ -278,6 +276,115 @@ def geocoding_metrics(
         accuracy_at_km={t: accuracy_at(dist, t) for t in thresholds_km},
         n_errors=dist.n,
     )
+
+
+def _select_gold(
+    docs: Sequence[corpus.Document],
+    index: Optional[GazetteerIndex],
+    need_coords: bool,
+    warnings: list[str],
+) -> list[GoldSpan]:
+    if index is not None:
+        result = corpus.apply_exclusion_policy(docs, index)
+        if result.excluded:
+            warnings.append(f"excluded {len(result.excluded)} gold annotations by policy")
+        return result.kept
+    spans = corpus.gold_spans(docs)
+    if not need_coords:
+        return spans
+    with_coords = [(d, a) for d, a in spans if a.coord is not None]
+    if len(with_coords) < len(spans):
+        warnings.append(
+            f"{len(spans) - len(with_coords)} gold annotations without coordinates ignored "
+            "(no --cache supplied)"
+        )
+    return with_coords
+
+
+def _compare_tagging(a: SpanMatchResult, b: SpanMatchResult, report: EvalReport) -> None:
+    """McNemar over the gold spans each system matched."""
+    correct_a = {(doc_id, ann.start, ann.end) for (doc_id, ann), _ in a.pairs}
+    correct_b = {(doc_id, ann.start, ann.end) for (doc_id, ann), _ in b.pairs}
+    table = McNemarTable(b=len(correct_a - correct_b), c=len(correct_b - correct_a))
+    result = mcnemar(table)
+    n = table.b + table.c
+    report.stat_tests.append(StatTestResult("mcnemar", result.statistic, result.p_value, n))
+    if result.unreliable:
+        report.warnings.append(
+            f"mcnemar: only {n} disagreements; "
+            f"chi-squared approximation unreliable below {MCNEMAR_RELIABLE_MIN}"
+        )
+
+
+def _compare_geocoding(
+    errors_a: dict[GoldKey, float], errors_b: dict[GoldKey, float], report: EvalReport
+) -> None:
+    """Wilcoxon over the errors of the gold spans both systems resolved."""
+    common = sorted(set(errors_a) & set(errors_b))
+    if not common:
+        report.warnings.append("wilcoxon: no toponyms resolved by both systems")
+        return
+    result = wilcoxon_signed_rank([errors_a[k] for k in common], [errors_b[k] for k in common])
+    report.stat_tests.append(StatTestResult("wilcoxon", result.z, result.p_value, result.n))
+    if result.note:
+        report.warnings.append(f"wilcoxon: {result.note}")
+
+
+def evaluate(
+    docs: Sequence[corpus.Document],
+    pred: Sequence[PredictionRecord],
+    dataset_id: str,
+    index: Optional[GazetteerIndex] = None,
+    mode: MatchMode = MatchMode.EXACT,
+    thresholds_km: Optional[Sequence[float]] = None,
+    pred_b: Optional[Sequence[PredictionRecord]] = None,
+) -> EvalReport:
+    """Score one system on a gold corpus, optionally against a second one.
+
+    Gold spans are the exclusion policy's kept set when a gazetteer index
+    is given, otherwise every annotation (only those with coordinates when
+    scoring geocoding). Without `thresholds_km` the report carries the
+    geotagging F-score and `pred_b` adds McNemar; with it, the geocoding
+    metrics at those thresholds and `pred_b` adds Wilcoxon. Both paired
+    tests compare the systems gold span by gold span, keyed by GoldKey.
+    """
+    warnings: list[str] = []
+    geocoding = thresholds_km is not None
+    gold = _select_gold(docs, index, geocoding, warnings)
+    match = match_spans(gold, pred, mode)
+    report = EvalReport(
+        dataset_id=dataset_id,
+        gazetteer_version=index.version if index else "none",
+        n_gold=len(gold),
+        n_predicted=len(pred),
+        warnings=warnings,
+    )
+    match_b = match_spans(gold, pred_b, mode) if pred_b is not None else None
+
+    if not geocoding:
+        report.n_resolved = sum(1 for r in pred if r.predicted_coord is not None)
+        report.tagging = f_score(match.counts)
+        if match_b is not None:
+            _compare_tagging(match, match_b, report)
+        return report
+
+    errors, unresolved = _keyed_errors(match.pairs)
+    dist = ErrorDistribution(e for _, e in errors)
+    report.n_resolved = dist.n
+    if match.pairs and dist.n / len(match.pairs) < MIN_RESOLVED_FRACTION:
+        warnings.append(
+            f"only {dist.n / len(match.pairs):.0%} of geotagged toponyms were resolved; "
+            f"below the {MIN_RESOLVED_FRACTION:.0%} representativeness minimum"
+        )
+    if unresolved:
+        warnings.append(f"{unresolved} matched toponyms had no predicted coordinates")
+    if dist.n:
+        report.geocoding = geocoding_metrics(dist, thresholds_km)
+    else:
+        warnings.append("no resolved true positives; geocoding metrics undefined")
+    if match_b is not None:
+        _compare_geocoding(dict(errors), dict(_keyed_errors(match_b.pairs)[0]), report)
+    return report
 
 
 def render_report(report: EvalReport) -> str:
@@ -297,7 +404,7 @@ def render_report(report: EvalReport) -> str:
             f"fn: {t.counts.fn}",
             f"precision: {t.precision:.6f}",
             f"recall: {t.recall:.6f}",
-            f"f_score: {t.f_score:.6f}",
+            f"f_score: {t.f:.6f}",
         ]
         if t.degenerate:
             lines.append("f_score_degenerate: true")
@@ -320,57 +427,32 @@ def render_report(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_csv_header(thresholds_km: Sequence[float] = (DEFAULT_THRESHOLD_KM,)) -> str:
-    columns = [
-        "dataset_id",
-        "gazetteer_version",
-        "n_gold",
-        "n_predicted",
-        "n_resolved",
-        "precision",
-        "recall",
-        "f_score",
-        "mean_error_km",
-        "median_error_km",
-        "auc",
-    ]
-    columns += [f"acc_at_{t:g}km" for t in sorted(thresholds_km)]
-    columns += ["test_name", "test_statistic", "test_p", "test_n"]
-    return ",".join(columns)
+REPORT_CSV_COLUMNS = (
+    "dataset_id", "gazetteer_version", "n_gold", "n_predicted", "n_resolved",
+    "precision", "recall", "f_score", "mean_error_km", "median_error_km", "auc",
+    "threshold_km", "accuracy", "test_name", "test_statistic", "test_p", "test_n",
+)
 
 
-def report_csv_row(report: EvalReport) -> str:
-    """One flat CSV row per system x dataset, for tabulation."""
+def report_csv_rows(report: EvalReport) -> list[list[str]]:
+    """CSV rows under REPORT_CSV_COLUMNS, one per accuracy threshold.
+
+    Thresholds are in long form, so every report fits the same header: a
+    geocoding report gives one row per threshold, a tagging report (or a
+    geocoding report with no resolved true positives) one row with
+    `threshold_km` and `accuracy` empty.
+    """
 
     def fmt(value) -> str:
         if value is None:
             return ""
-        if isinstance(value, float):
-            return f"{value:.6f}"
-        return str(value)
+        return f"{value:.6f}" if isinstance(value, float) else str(value)
 
-    t = report.tagging
-    g = report.geocoding
-    cells = [
-        report.dataset_id,
-        report.gazetteer_version,
-        fmt(report.n_gold),
-        fmt(report.n_predicted),
-        fmt(report.n_resolved),
-        fmt(t.precision if t else None),
-        fmt(t.recall if t else None),
-        fmt(t.f_score if t else None),
-        fmt(g.mean_error_km if g else None),
-        fmt(g.median_error_km if g else None),
-        fmt(g.auc if g else None),
-    ]
-    if g is not None:
-        cells += [fmt(g.accuracy_at_km[t_km]) for t_km in sorted(g.accuracy_at_km)]
+    t, g = report.tagging, report.geocoding
     test = report.stat_tests[0] if report.stat_tests else None
-    cells += [
-        test.name if test else "",
-        fmt(test.statistic if test else None),
-        fmt(test.p_value if test else None),
-        fmt(test.n if test else None),
-    ]
-    return ",".join(cells)
+    head = [report.dataset_id, report.gazetteer_version, report.n_gold, report.n_predicted, report.n_resolved]
+    head += [t.precision, t.recall, t.f] if t else [None] * 3
+    head += [g.mean_error_km, g.median_error_km, g.auc] if g else [None] * 3
+    tail = [test.name, test.statistic, test.p_value, test.n] if test else [None] * 4
+    accuracies = [(f"{km:g}", acc) for km, acc in sorted(g.accuracy_at_km.items())] if g else [(None, None)]
+    return [[fmt(v) for v in (*head, km, acc, *tail)] for km, acc in accuracies]

@@ -1,4 +1,7 @@
+import csv
 import json
+
+import pytest
 
 from geoeval.cli import main
 
@@ -336,6 +339,42 @@ def test_csv_row_appended(tmp_path):
     assert lines[0].startswith("dataset_id,gazetteer_version,")
     assert len(lines) == 3  # header + two rows
 
+    # A geocoding report with three thresholds appends three rows in long
+    # form; a dataset id with a comma round-trips.
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.856600\t2.352200\n", encoding="utf-8")
+    _, cache = build_cache(tmp_path)
+    assert main([
+        "eval-geocoding", "--gold", str(gold), "--pred", str(pred), "--cache", str(cache),
+        "--thresholds", "5,50,161", "--dataset-id", "gold, run 2",
+        "--out", str(report), "--csv", str(csv_path),
+    ]) == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 17
+    assert len(rows) == 2 + 3
+    assert all(len(row) == len(header) for row in rows)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [c["f_score"] for c in cells] == ["0.250000"] * 2 + [""] * 3
+    assert [(c["threshold_km"], c["accuracy"]) for c in cells] == [
+        ("", ""), ("", ""), ("5", "1.000000"), ("50", "1.000000"), ("161", "1.000000"),
+    ]
+    assert [c["dataset_id"] for c in cells] == ["gold", "gold"] + ["gold, run 2"] * 3
+
+
+def test_csv_with_other_header_is_refused(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    csv_path = tmp_path / "old.csv"
+    old = "dataset_id,gazetteer_version,n_gold,n_predicted,n_resolved,precision,recall,f_score\n"
+    csv_path.write_text(old, encoding="utf-8")
+    assert main([
+        "eval-tagging", "--gold", str(gold), "--pred", str(pred),
+        "--out", str(tmp_path / "r.txt"), "--csv", str(csv_path),
+    ]) == 1
+    assert str(csv_path) in capsys.readouterr().err
+    assert csv_path.read_text(encoding="utf-8") == old
+
 
 def test_config_file_supplies_defaults(tmp_path):
     gold = build_corpus(tmp_path)
@@ -347,3 +386,41 @@ def test_config_file_supplies_defaults(tmp_path):
     ]) == 0
     plan = json.loads(plan_path.read_text(encoding="utf-8"))
     assert plan["k"] == 3 and plan["seed"] == 21
+
+
+@pytest.mark.parametrize("value", [3, "3"], ids=["int", "string"])
+def test_config_value_coerced_through_flag_type(tmp_path, value):
+    gold = build_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": value}), encoding="utf-8")
+    plan_path = tmp_path / "plan.json"
+    assert main(["--config", str(config), "folds", "--gold", str(gold), "--out", str(plan_path)]) == 0
+    assert json.loads(plan_path.read_text(encoding="utf-8"))["k"] == 3
+
+
+@pytest.mark.parametrize("value", ["x", 2.5, [2]])
+def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, value):
+    gold = build_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": value}), encoding="utf-8")
+    plan_path = tmp_path / "plan.json"
+    assert main(["--config", str(config), "folds", "--gold", str(gold), "--out", str(plan_path)]) == 1
+    assert "'k'" in capsys.readouterr().err
+    assert not plan_path.exists()
+
+
+@pytest.mark.parametrize("thresholds", ["5,161", [5, 161]], ids=["string", "list"])
+def test_config_thresholds_string_or_list(tmp_path, thresholds):
+    gold = build_corpus(tmp_path)
+    _, cache = build_cache(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.856600\t2.352200\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"thresholds": thresholds}), encoding="utf-8")
+    report = tmp_path / "r.txt"
+    assert main([
+        "--config", str(config), "eval-geocoding", "--gold", str(gold), "--pred", str(pred),
+        "--cache", str(cache), "--out", str(report),
+    ]) == 0
+    text = report.read_text(encoding="utf-8")
+    assert "accuracy_at_5km: 1.000000" in text and "accuracy_at_161km: 1.000000" in text

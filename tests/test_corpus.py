@@ -307,6 +307,31 @@ def test_load_directory(tmp_path):
     assert gold_spans(docs)[0][0] == "a_doc"
 
 
+def test_load_directory_crlf_text(tmp_path):
+    text = "Storms hit.\r\nParis flooded.\r\nLondon too.\r\n"
+    p_start, l_start = text.index("Paris"), text.index("London")
+    ann = f"T1\tLiteral {p_start} {p_start + 5}\tParis\r\nT2\tLiteral {l_start} {l_start + 6}\tLondon\r\n"
+    (tmp_path / "crlf.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "crlf.ann").write_bytes(ann.encode("utf-8"))
+    (doc,) = load_directory(str(tmp_path))
+    assert doc.text == text
+    assert [(a.start, a.surface) for a in doc.annotations] == [(13, "Paris"), (29, "London")]
+    assert all(doc.text[a.start:a.end] == a.surface for a in doc.annotations)
+
+
+def test_load_directory_bom_counted_in_offsets(tmp_path):
+    # A UTF-8 BOM is kept as U+FEFF, so offsets count it as one code point.
+    text = "\ufeffParis flooded."
+    (tmp_path / "bom.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "bom.ann").write_text("T1\tLiteral 1 6\tParis\n", encoding="utf-8")
+    (doc,) = load_directory(str(tmp_path))
+    assert doc.text == text
+    assert doc.annotations[0].start == 1 and doc.text[1:6] == "Paris"
+    (tmp_path / "bom.ann").write_text("T1\tLiteral 0 5\tParis\n", encoding="utf-8")
+    with pytest.raises(BratParseError):
+        load_directory(str(tmp_path))
+
+
 def test_ten_document_roundtrip(tmp_path):
     for i in range(10):
         text = f"Doc {i}: Russian planes left Paris id{i}."

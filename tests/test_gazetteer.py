@@ -1,10 +1,11 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoeval import gazetteer
+from geoeval import cli, gazetteer
 from geoeval.gazetteer import (
     GazetteerError,
     dump_checksum,
@@ -181,6 +182,49 @@ def test_cache_rejects_bad_format(tmp_path):
     cache.write_bytes(b"not a pickle")
     with pytest.raises(GazetteerError):
         load_cache(str(cache))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ["not", "a", "dict"],
+        {"format_version": gazetteer.CACHE_FORMAT_VERSION + 1, "index": None},
+        {"format_version": gazetteer.CACHE_FORMAT_VERSION},
+        {"format_version": gazetteer.CACHE_FORMAT_VERSION, "index": {"melbourne": [1001]}},
+    ],
+    ids=["not-a-dict", "wrong-version", "missing-index", "index-not-an-index"],
+)
+def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
+    cache = tmp_path / "shape.cache"
+    cache.write_bytes(pickle.dumps(payload))
+    with pytest.raises(GazetteerError):
+        load_cache(str(cache))
+
+    # The CLI reports it as an input error, not a traceback.
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8\t2.3\n", encoding="utf-8")
+    assert cli.main(["align", "--pred", str(pred), "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+    # load_or_ingest rebuilds such a cache from the dump.
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    index, hit = load_or_ingest(str(dump), str(cache))
+    assert hit is False and len(index) == len(TOY_DUMP_LINES)
+    assert load_cache(str(cache)).version == index.version
+
+
+def test_load_or_ingest_hashes_dump_once(tmp_path, monkeypatch):
+    calls = []
+    original = gazetteer.dump_checksum
+    monkeypatch.setattr(gazetteer, "dump_checksum", lambda path: calls.append(path) or original(path))
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    cache = tmp_path / "dump.cache"
+    _, hit = load_or_ingest(str(dump), str(cache))
+    assert hit is False and len(calls) == 1  # cache miss
+    _, hit = load_or_ingest(str(dump), str(cache))
+    assert hit is True and len(calls) == 2  # cache hit
 
 
 def test_load_or_ingest_cache_hit(tmp_path):

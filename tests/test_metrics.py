@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoeval.corpus import PredictionRecord, ToponymAnnotation
-from geoeval.geodesy import MAX_ERROR_KM, Coordinate
+from geoeval.corpus import PredictionRecord, ToponymAnnotation, load_brat
+from geoeval.geodesy import MAX_ERROR_KM, Coordinate, great_circle_distance
 from geoeval.metrics import (
+    REPORT_CSV_COLUMNS,
     ErrorDistribution,
     EvalReport,
     MatchMode,
     TaggingCounts,
     accuracy_at,
     auc,
+    evaluate,
     f_from_precision_recall,
     f_score,
     geocoding_errors,
@@ -22,8 +26,7 @@ from geoeval.metrics import (
     mean_error,
     median_error,
     render_report,
-    report_csv_header,
-    report_csv_row,
+    report_csv_rows,
     tagging_metrics,
 )
 from geoeval.taxonomy import TaxonomyType
@@ -311,7 +314,88 @@ def test_report_rendering_and_csv():
     assert "accuracy_at_161km: 0.500000" in text
     assert "warning: something odd" in text
 
-    header = report_csv_header((161.0,))
-    row = report_csv_row(report)
-    assert len(header.split(",")) == len(row.split(","))
-    assert row.startswith("toy,sha256:abc,10,10,4,")
+    # Written and read back through the csv module, every row has the
+    # header's width: one row per threshold, tagging-only rows included.
+    geocoding_only = EvalReport(
+        dataset_id="toy, second run",
+        gazetteer_version="sha256:abc",
+        geocoding=geocoding_metrics(dist, (5.0, 50.0, 161.0)),
+    )
+    tagging_only = EvalReport(dataset_id="toy", gazetteer_version="none", tagging=tagging_metrics(counts))
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(REPORT_CSV_COLUMNS)
+    for r in (report, tagging_only, geocoding_only):
+        writer.writerows(report_csv_rows(r))
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    assert header == list(REPORT_CSV_COLUMNS)
+    assert len(rows) == 1 + 1 + 3
+    assert all(len(row) == len(header) for row in rows)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert ",".join(rows[0]).startswith("toy,sha256:abc,10,10,4,")
+    assert (cells[0]["threshold_km"], cells[0]["accuracy"]) == ("161", "0.500000")
+    assert (cells[1]["f_score"], cells[1]["threshold_km"], cells[1]["accuracy"]) == ("0.800000", "", "")
+    assert [c["dataset_id"] for c in cells[2:]] == ["toy, second run"] * 3
+    assert [c["threshold_km"] for c in cells[2:]] == ["5", "50", "161"]
+    assert [c["accuracy"] for c in cells[2:]] == ["0.250000", "0.500000", "0.500000"]
+
+
+def _docs_for_evaluate():
+    text = "Gondor, Rohan and Mordor."
+    ann = (
+        "T1\tLiteral 0 6\tGondor\nN1\tReference T1 Coordinates:10.0,20.0\tGondor\n"
+        "T2\tLiteral 8 13\tRohan\nN2\tReference T2 Coordinates:11.0,21.0\tRohan\n"
+        "T3\tLiteral 18 24\tMordor\n"
+    )
+    return [load_brat(text, ann, doc_id="d")]
+
+
+def test_evaluate_tagging_with_mcnemar():
+    a = [_pred("d", 0, 6), _pred("d", 8, 13)]
+    b = [_pred("d", 0, 6), _pred("d", 18, 24), _pred("d", 30, 31)]
+    report = evaluate(_docs_for_evaluate(), a, "toy", pred_b=b)
+    assert (report.n_gold, report.n_predicted, report.n_resolved) == (3, 2, 0)
+    assert (report.tagging.counts, report.geocoding) == (TaggingCounts(tp=2, fp=0, fn=1), None)
+    (test,) = report.stat_tests
+    assert (test.name, test.statistic, test.p_value, test.n) == ("mcnemar", 0.0, 1.0, 2)  # b = c = 1
+    assert report.warnings == [
+        "mcnemar: only 2 disagreements; chi-squared approximation unreliable below 25"
+    ]
+
+
+def test_evaluate_geocoding_warnings_and_wilcoxon():
+    # Without an index only gold spans with coordinates count; one match is
+    # unresolved, so half the matches carry an error.
+    a = [_pred("d", 0, 6, Coordinate(10.0, 20.0)), _pred("d", 8, 13)]
+    report = evaluate(_docs_for_evaluate(), a, "toy", thresholds_km=(5.0, 161.0))
+    assert (report.n_gold, report.n_resolved, report.tagging) == (2, 1, None)
+    assert report.geocoding.accuracy_at_km == {5.0: 1.0, 161.0: 1.0}
+    assert report.warnings == [
+        "1 gold annotations without coordinates ignored (no --cache supplied)",
+        "1 matched toponyms had no predicted coordinates",
+    ]
+
+    # B resolves only the span A leaves unresolved: nothing to pair.
+    b = [_pred("d", 8, 13, Coordinate(11.0, 21.5))]
+    report = evaluate(_docs_for_evaluate(), a, "toy", thresholds_km=(161.0,), pred_b=b)
+    assert report.stat_tests == []
+    assert report.warnings[-1] == "wilcoxon: no toponyms resolved by both systems"
+
+    # Paired over the gold spans both systems resolved.
+    b = [_pred("d", 0, 6, Coordinate(10.5, 20.0)), _pred("d", 8, 13, Coordinate(11.0, 21.5))]
+    report = evaluate(_docs_for_evaluate(), b, "toy", thresholds_km=(161.0,), pred_b=a)
+    (test,) = report.stat_tests
+    assert (test.name, test.n) == ("wilcoxon", 1)
+    assert test.statistic > 0  # the first system is worse on the common span
+    assert report.geocoding.mean_error_km == pytest.approx(
+        (great_circle_distance(Coordinate(10.5, 20.0), Coordinate(10.0, 20.0))
+         + great_circle_distance(Coordinate(11.0, 21.5), Coordinate(11.0, 21.0))) / 2
+    )
+
+    report = evaluate(_docs_for_evaluate(), [_pred("d", 8, 13)], "toy", thresholds_km=(161.0,))
+    assert report.geocoding is None
+    assert report.warnings[1:] == [
+        "only 0% of geotagged toponyms were resolved; below the 50% representativeness minimum",
+        "1 matched toponyms had no predicted coordinates",
+        "no resolved true positives; geocoding metrics undefined",
+    ]

@@ -166,24 +166,14 @@ def dump_checksum(path: str) -> str:
     return f"sha256:{digest.hexdigest()[:16]}"
 
 
-def _ingest_file(path: str, feature_classes: Optional[set[str]], version: str) -> GazetteerIndex:
+def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> GazetteerIndex:
+    """Ingest a dump file; the index version records the dump checksum."""
     try:
+        version = dump_checksum(path)
         with open(path, encoding="utf-8") as fh:
             return ingest(fh, feature_classes=feature_classes, version=version)
     except (OSError, UnicodeDecodeError) as exc:
         raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc
-
-
-def _checksum(path: str) -> str:
-    try:
-        return dump_checksum(path)
-    except OSError as exc:
-        raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc
-
-
-def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> GazetteerIndex:
-    """Ingest a dump file; the index version records the dump checksum."""
-    return _ingest_file(path, feature_classes, _checksum(path))
 
 
 def save_cache(index: GazetteerIndex, path: str, feature_classes: Optional[set[str]] = None) -> None:
@@ -223,10 +213,9 @@ def load_or_ingest(
     """Return (index, cache_hit): reuse the cache when it matches the dump.
 
     A cache matches when its embedded checksum equals the dump checksum
-    and it was built with the same feature-class filter. An unreadable or
-    mismatched cache is rebuilt; the dump is hashed once either way.
+    and it was built with the same feature-class filter.
     """
-    checksum = _checksum(dump_path)
+    checksum = dump_checksum(dump_path)
     wanted_filter = sorted(feature_classes) if feature_classes is not None else None
     try:
         payload = _read_cache(cache_path)
@@ -234,7 +223,7 @@ def load_or_ingest(
             return payload["index"], True
     except GazetteerError:
         pass
-    index = _ingest_file(dump_path, feature_classes, checksum)
+    index = ingest_path(dump_path, feature_classes=feature_classes)
     save_cache(index, cache_path, feature_classes=feature_classes)
     return index, False
 

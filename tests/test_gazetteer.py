@@ -214,19 +214,6 @@ def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
     assert load_cache(str(cache)).version == index.version
 
 
-def test_load_or_ingest_hashes_dump_once(tmp_path, monkeypatch):
-    calls = []
-    original = gazetteer.dump_checksum
-    monkeypatch.setattr(gazetteer, "dump_checksum", lambda path: calls.append(path) or original(path))
-    dump = tmp_path / "dump.tsv"
-    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
-    cache = tmp_path / "dump.cache"
-    _, hit = load_or_ingest(str(dump), str(cache))
-    assert hit is False and len(calls) == 1  # cache miss
-    _, hit = load_or_ingest(str(dump), str(cache))
-    assert hit is True and len(calls) == 2  # cache hit
-
-
 def test_load_or_ingest_cache_hit(tmp_path):
     dump = tmp_path / "dump.tsv"
     dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")

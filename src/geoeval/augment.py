@@ -49,10 +49,10 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _containing_sentence(text: str, start: int, end: int) -> tuple[int, int]:
-    """Smallest run of sentences covering [start, end)."""
+def _containing_sentence(sentences: list[tuple[int, int]], start: int, end: int) -> tuple[int, int]:
+    """Smallest run of the sentence spans covering [start, end)."""
     lo, hi = start, end
-    for s_start, s_end in sentence_spans(text):
+    for s_start, s_end in sentences:
         if s_end <= start or s_start >= end:
             continue
         lo = min(lo, s_start)
@@ -109,6 +109,7 @@ def generate_augmented(
         pools[kind] = pool
 
     out: list[TaggedSentence] = []
+    sentences: dict[str, list[tuple[int, int]]] = {}  # doc_id -> spans, split once per document
     contexts = [e for e in expressions if e.role is ExpressionRole.CONTEXT]
     for ctx_index, ctx in enumerate(contexts):
         doc = doc_map.get(ctx.doc_id)
@@ -123,7 +124,9 @@ def generate_augmented(
         pool = pools[ctx.kind]
         if not pool:
             continue
-        sent_start, sent_end = _containing_sentence(doc.text, ctx.start, ctx.end)
+        if doc.doc_id not in sentences:
+            sentences[doc.doc_id] = sentence_spans(doc.text)
+        sent_start, sent_end = _containing_sentence(sentences[doc.doc_id], ctx.start, ctx.end)
         prefix = doc.text[sent_start : ctx.start]
         suffix = doc.text[ctx.end : sent_end]
         rng = random.Random(f"{seed}:{ctx_index}")

@@ -25,22 +25,21 @@ from . import corpus, gazetteer, metrics, resolver, stats, tagger
 
 PROG = "geoeval"
 
-_DEFAULTS = {
-    "mode": "exact",
-    "thresholds": "161",
-    "k": 5,
-    "seed": 13,
-    "max_ngram": tagger.DEFAULT_MAX_NGRAM,
-    "max_per_source": 3,
-}
-
 
 class InputError(Exception):
     """Bad file, flag or data supplied by the operator."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so it exits 1 like other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=PROG, description=__doc__)
+    parser = _Parser(prog=PROG, description=__doc__)
     parser.add_argument("--config", help="JSON file with default values for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True, help="directory of BRAT .txt/.ann pairs")
     p.add_argument("--pred", required=True, help="prediction file")
     p.add_argument("--pred-b", help="second prediction file: adds a McNemar comparison")
-    p.add_argument("--mode", choices=["exact", "overlap"], default=None)
+    p.add_argument("--mode", choices=["exact", "overlap"], default="exact")
     p.add_argument("--cache", help="gazetteer cache; enables the exclusion policy")
     p.add_argument("--out", required=True, help="report file to write")
     p.add_argument("--csv", help="CSV file to append a summary row to")
-    p.add_argument("--dataset-id", default=None)
+    p.add_argument("--dataset-id")
     p.add_argument("--lenient", action="store_true", help="skip malformed prediction lines")
     p.set_defaults(func=cmd_eval_tagging)
 
@@ -66,12 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--pred-b", help="second prediction file: adds a Wilcoxon comparison")
-    p.add_argument("--thresholds", default=None, help="comma-separated km thresholds (default 161)")
-    p.add_argument("--mode", choices=["exact", "overlap"], default=None)
+    p.add_argument("--thresholds", default=f"{metrics.DEFAULT_THRESHOLD_KM:g}",
+                   help="comma-separated km thresholds (default %(default)s)")
+    p.add_argument("--mode", choices=["exact", "overlap"], default="exact")
     p.add_argument("--cache", help="gazetteer cache; enables exclusion and coordinate fill")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="CSV file to append a summary row to")
-    p.add_argument("--dataset-id", default=None)
+    p.add_argument("--dataset-id")
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_eval_geocoding)
 
@@ -79,11 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--cache", required=True, help="gazetteer cache built by ingest")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--oracle-ner", action="store_true", help="copy gold spans (post-exclusion)")
-    mode.add_argument("--dictionary-ner", action="store_true", help="gazetteer n-gram tagger")
+    mode.add_argument("--oracle-ner", dest="ner", action="store_const", const="oracle",
+                      help="copy gold spans (post-exclusion)")
+    mode.add_argument("--dictionary-ner", dest="ner", action="store_const", const="dictionary",
+                      help="gazetteer n-gram tagger")
     p.add_argument("--lexicon", help="normalization lexicon (surface<TAB>canonical)")
     p.add_argument("--blocklist", help="file of surfaces to suppress, one per line")
-    p.add_argument("--max-ngram", type=int, default=None)
+    p.add_argument("--max-ngram", type=int, default=tagger.DEFAULT_MAX_NGRAM)
     p.add_argument("--populated-only", action="store_true")
     p.add_argument("--out", required=True, help="prediction file to write")
     p.set_defaults(func=cmd_baseline)
@@ -97,55 +99,59 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("folds", help="deal documents into cross-validation folds")
     p.add_argument("--gold", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--seed", type=int, default=13)
     p.add_argument("--out", required=True, help="JSON fold plan to write")
     p.set_defaults(func=cmd_folds)
 
     p = sub.add_parser("augment", help="generate augmented training sentences")
     p.add_argument("--gold", required=True)
-    p.add_argument("--max-per-source", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-per-source", type=int, default=3)
+    p.add_argument("--seed", type=int, default=13)
     p.add_argument("--out", required=True, help="token/tag column file to write")
     p.set_defaults(func=cmd_augment)
 
     return parser
 
 
-def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> type converter of every typed flag `command` accepts."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = [*parser._actions, *sub.choices[command]._actions]
-    return {a.dest: a.type for a in actions if a.type is not None}
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make the JSON object in `path` defaults of `command`, below the command line.
 
-
-def _apply_config(args: argparse.Namespace, types: dict) -> None:
-    """Fill unset flags from --config, then _DEFAULTS.
-
-    A config value goes through its flag's type as if typed on the command
-    line, so {"k": "2"} and {"k": 2} both give 2.
+    Values go through the flag's type as if typed ({"k": "2"} gives 2). A key
+    naming another subcommand's flag is skipped.
     """
-    config = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise InputError(f"config {args.config} must be a JSON object")
-        config = {str(k).replace("-", "_"): v for k, v in config.items()}
-    for dest, value in vars(args).items():
-        if value is None and dest in config:
-            value = config[dest]
-            if dest in types:
-                try:
-                    value = types[dest](str(value))
-                except ValueError as exc:
-                    raise InputError(f"config {args.config}: bad value {value!r} for {dest!r}") from exc
-            setattr(args, dest, value)
-        elif value is None and dest in _DEFAULTS:
-            setattr(args, dest, _DEFAULTS[dest])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError(f"config {path} must be a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+    elsewhere = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
+    defaults = {}
+    for key, value in config.items():
+        dest = key.replace("-", "_")
+        action = flags.get(dest)
+        if action is None:
+            if dest in elsewhere:
+                continue
+            raise InputError(f"config {path}: unknown key {key!r}")
+        if dest == "thresholds" and isinstance(value, list):
+            value = ",".join(str(t) for t in value)
+        # An on/off flag takes true or false, any other flag a string or a number.
+        if isinstance(value, bool) != (action.nargs == 0) or not isinstance(value, (str, int, float)):
+            raise InputError(f"config {path}: bad value {value!r} for {key!r}")
+        if action.nargs != 0:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError as exc:
+                raise InputError(f"config {path}: bad value {value!r} for {key!r}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise InputError(f"config {path}: {key!r} must be one of {list(action.choices)}")
+        defaults[dest] = value
+    sub.choices[command].set_defaults(**defaults)
 
 
 def _load_gold(path: str) -> list[corpus.Document]:
@@ -244,10 +250,7 @@ def cmd_eval_tagging(args: argparse.Namespace) -> int:
 
 def cmd_eval_geocoding(args: argparse.Namespace) -> int:
     try:
-        if isinstance(args.thresholds, (list, tuple)):
-            thresholds = [float(t) for t in args.thresholds]
-        else:
-            thresholds = [float(t) for t in str(args.thresholds).split(",") if t.strip()]
+        thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
         if not thresholds:
             raise ValueError("empty threshold list")
     except ValueError as exc:
@@ -260,16 +263,14 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     index = _load_index(args.cache)
     excl = corpus.apply_exclusion_policy(docs, index)
 
-    if args.oracle_ner:
+    if args.ner == "oracle":
         records = tagger.oracle_spans(excl.documents)
     else:
         blocklist = tagger.DEFAULT_BLOCKLIST
         if args.blocklist:
             try:
                 with open(args.blocklist, encoding="utf-8") as fh:
-                    blocklist = frozenset(
-                        line.strip().casefold() for line in fh if line.strip()
-                    )
+                    blocklist = frozenset(line.strip().casefold() for line in fh if line.strip())
             except OSError as exc:
                 raise InputError(f"cannot read blocklist {args.blocklist}: {exc}") from exc
         records = []
@@ -344,14 +345,13 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, _flag_types(parser, args.command))
+        args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except (corpus.BratParseError, gazetteer.GazetteerError, OSError, ValueError) as exc:
+    except (InputError, corpus.BratParseError, gazetteer.GazetteerError, OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except Exception:

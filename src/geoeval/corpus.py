@@ -32,6 +32,12 @@ log = logging.getLogger(__name__)
 
 MODIFIER_VALUES = ("Adjective", "Noun")
 
+# Attribute and normalization-resource names used in the .ann files.
+MODIFIER_ATTRIBUTE = "modifier_type"
+NON_LOCATIONAL_ATTRIBUTE = "non_locational"
+GAZETTEER_RESOURCE = "Geonames"
+COORDINATE_RESOURCE = "Coordinates"
+
 EXCLUDED_NON_LOCATIONAL = "non-locational type"
 EXCLUDED_NOT_IN_GAZETTEER = "not in gazetteer"
 
@@ -132,40 +138,21 @@ class Document:
     expressions: list[ExpressionAnnotation] = field(default_factory=list)
 
 
-@dataclass
-class BratConfig:
-    """Names used in the .ann files; override when a corpus differs."""
-
-    modifier_attribute: str = "modifier_type"
-    non_locational_attribute: str = "non_locational"
-    gazetteer_resource: str = "Geonames"
-    coordinate_resource: str = "Coordinates"
-    type_labels: dict[str, TaxonomyType] = field(
-        default_factory=lambda: {t.value: t for t in TaxonomyType}
-    )
-    expression_labels: dict[str, ExpressionKind] = field(
-        default_factory=lambda: {k.value: k for k in ExpressionKind}
-    )
-
+# Span labels are the TaxonomyType and ExpressionKind values.
+_LABELS = {member.value: member for member in (*TaxonomyType, *ExpressionKind)}
 
 _T_LINE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
 _A_LINE = re.compile(r"^(A\d+)\t(\S+) (T\d+)(?: (\S+))?\s*$")
 _N_LINE = re.compile(r"^(N\d+)\tReference (T\d+) ([^:\t]+):(\S+)(?:\t(.*))?$")
 
 
-def load_brat(
-    text: str,
-    ann: str,
-    doc_id: str = "",
-    config: Optional[BratConfig] = None,
-) -> Document:
+def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
     """Parse BRAT standoff content into a Document.
 
     Raises BratParseError (with the offending line number) on grammar
     violations, bad offsets, surface mismatches and dangling references.
     Relation/event/comment lines are ignored.
     """
-    cfg = config or BratConfig()
     spans: dict[str, dict] = {}
     attr_lines: list[tuple[int, str, str, Optional[str]]] = []
     norm_lines: list[tuple[int, str, str, str]] = []
@@ -194,10 +181,10 @@ def load_brat(
                     f"{text[start:end]!r} at ({start}, {end})",
                     line_no,
                 )
-            if label not in cfg.type_labels and label not in cfg.expression_labels:
+            if label not in _LABELS:
                 raise BratParseError(f"{tid}: unknown annotation type {label!r}", line_no)
             spans[tid] = {
-                "label": label,
+                "label": _LABELS[label],
                 "start": start,
                 "end": end,
                 "surface": surface,
@@ -227,21 +214,21 @@ def load_brat(
         if tid not in spans:
             raise BratParseError(f"attribute references missing span {tid}", line_no)
         record = spans[tid]
-        if attr_name == cfg.modifier_attribute:
+        if attr_name == MODIFIER_ATTRIBUTE:
             if value not in MODIFIER_VALUES:
                 raise BratParseError(
-                    f"{cfg.modifier_attribute} must be one of {MODIFIER_VALUES}, got {value!r}",
+                    f"{MODIFIER_ATTRIBUTE} must be one of {MODIFIER_VALUES}, got {value!r}",
                     line_no,
                 )
             record["modifier_type"] = value
-        elif attr_name == cfg.non_locational_attribute:
+        elif attr_name == NON_LOCATIONAL_ATTRIBUTE:
             if value is None or value == "True":
                 record["non_locational"] = True
             elif value == "False":
                 record["non_locational"] = False
             else:
                 raise BratParseError(
-                    f"{cfg.non_locational_attribute} must be True or False, got {value!r}",
+                    f"{NON_LOCATIONAL_ATTRIBUTE} must be True or False, got {value!r}",
                     line_no,
                 )
         else:
@@ -251,12 +238,12 @@ def load_brat(
         if tid not in spans:
             raise BratParseError(f"normalization references missing span {tid}", line_no)
         record = spans[tid]
-        if resource == cfg.gazetteer_resource:
+        if resource == GAZETTEER_RESOURCE:
             try:
                 record["gazetteer_id"] = int(entry)
             except ValueError:
                 raise BratParseError(f"bad gazetteer id {entry!r}", line_no) from None
-        elif resource == cfg.coordinate_resource:
+        elif resource == COORDINATE_RESOURCE:
             try:
                 lat_s, lon_s = entry.split(",")
                 record["coord"] = Coordinate(float(lat_s), float(lon_s))
@@ -269,13 +256,13 @@ def load_brat(
     expressions: list[ExpressionAnnotation] = []
     for record in spans.values():
         label = record["label"]
-        if label in cfg.type_labels:
+        if isinstance(label, TaxonomyType):
             annotations.append(
                 ToponymAnnotation(
                     start=record["start"],
                     end=record["end"],
                     surface=record["surface"],
-                    toponym_type=cfg.type_labels[label],
+                    toponym_type=label,
                     modifier_type=record["modifier_type"],
                     non_locational=record["non_locational"],
                     gazetteer_id=record["gazetteer_id"],
@@ -283,7 +270,7 @@ def load_brat(
                 )
             )
         else:
-            context_kind = cfg.expression_labels[label]
+            context_kind = label
             if record["non_locational"] is None:
                 head_kind = context_kind
             else:
@@ -312,11 +299,8 @@ def load_brat(
     return Document(doc_id=doc_id, text=text, annotations=annotations, expressions=expressions)
 
 
-def serialize_brat(doc: Document, config: Optional[BratConfig] = None) -> tuple[str, str]:
+def serialize_brat(doc: Document) -> tuple[str, str]:
     """Render a Document back to (text, ann) BRAT standoff content."""
-    cfg = config or BratConfig()
-    type_names = {t: label for label, t in cfg.type_labels.items()}
-    expr_names = {k: label for label, k in cfg.expression_labels.items()}
     lines: list[str] = []
     t_counter = a_counter = n_counter = 0
 
@@ -340,20 +324,15 @@ def serialize_brat(doc: Document, config: Optional[BratConfig] = None) -> tuple[
         lines.append(f"N{n_counter}\tReference {tid} {resource}:{entry}\t{display}")
 
     for ann in doc.annotations:
-        tid = emit_t(type_names[ann.toponym_type], ann.start, ann.end, ann.surface)
+        tid = emit_t(ann.toponym_type.value, ann.start, ann.end, ann.surface)
         if ann.modifier_type is not None:
-            emit_a(cfg.modifier_attribute, tid, ann.modifier_type)
+            emit_a(MODIFIER_ATTRIBUTE, tid, ann.modifier_type)
         if ann.non_locational is not None:
-            emit_a(cfg.non_locational_attribute, tid, str(ann.non_locational))
+            emit_a(NON_LOCATIONAL_ATTRIBUTE, tid, str(ann.non_locational))
         if ann.gazetteer_id is not None:
-            emit_n(tid, cfg.gazetteer_resource, str(ann.gazetteer_id), ann.surface)
+            emit_n(tid, GAZETTEER_RESOURCE, str(ann.gazetteer_id), ann.surface)
         if ann.coord is not None:
-            emit_n(
-                tid,
-                cfg.coordinate_resource,
-                f"{ann.coord.lat!r},{ann.coord.lon!r}",
-                ann.surface,
-            )
+            emit_n(tid, COORDINATE_RESOURCE, f"{ann.coord.lat!r},{ann.coord.lon!r}", ann.surface)
 
     by_span: dict[tuple[int, int], dict[ExpressionRole, ExpressionAnnotation]] = {}
     for expr in doc.expressions:
@@ -364,21 +343,15 @@ def serialize_brat(doc: Document, config: Optional[BratConfig] = None) -> tuple[
         head = roles.get(ExpressionRole.HEAD)
         base = context or head
         assert base is not None
-        tid = emit_t(expr_names[base.kind], base.start, base.end, base.surface)
+        tid = emit_t(base.kind.value, base.start, base.end, base.surface)
         if head is not None:
-            emit_a(
-                cfg.non_locational_attribute,
-                tid,
-                str(head.kind is ExpressionKind.ASSOCIATIVE),
-            )
+            emit_a(NON_LOCATIONAL_ATTRIBUTE, tid, str(head.kind is ExpressionKind.ASSOCIATIVE))
 
     ann_text = "".join(line + "\n" for line in lines)
     return doc.text, ann_text
 
 
-def load_document_pair(
-    txt_path: str, ann_path: str, config: Optional[BratConfig] = None
-) -> Document:
+def load_document_pair(txt_path: str, ann_path: str) -> Document:
     doc_id = os.path.splitext(os.path.basename(txt_path))[0]
     # newline="" keeps "\r\n" as two code points, as BRAT offsets count
     # them; a UTF-8 BOM is kept as U+FEFF and counted too.
@@ -386,10 +359,10 @@ def load_document_pair(
         text = fh.read()
     with open(ann_path, encoding="utf-8") as fh:
         ann = fh.read()
-    return load_brat(text, ann, doc_id=doc_id, config=config)
+    return load_brat(text, ann, doc_id=doc_id)
 
 
-def load_directory(path: str, config: Optional[BratConfig] = None) -> list[Document]:
+def load_directory(path: str) -> list[Document]:
     """Load every .txt/.ann pair under `path`, sorted by document id."""
     docs = []
     for name in sorted(os.listdir(path)):
@@ -400,7 +373,7 @@ def load_directory(path: str, config: Optional[BratConfig] = None) -> list[Docum
         if not os.path.exists(ann_path):
             log.warning("no .ann file for %s; skipping", txt_path)
             continue
-        docs.append(load_document_pair(txt_path, ann_path, config=config))
+        docs.append(load_document_pair(txt_path, ann_path))
     return docs
 
 

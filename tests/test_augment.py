@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from geoeval import augment
 from geoeval.augment import (
     expression_counts,
     generate_augmented,
@@ -143,6 +144,28 @@ def test_sentence_initial_capitalization():
     assert sentences
     first_tokens = {s[0][0] for s in sentences}
     assert all(tok[0].isupper() for tok in first_tokens)
+
+
+def test_each_document_split_into_sentences_once(monkeypatch):
+    text = "The old mill burned. Then the river rose. At last the town hall fell."
+    doc = Document("d", text)
+    expressions = [
+        _expr("d", text, surface, ExpressionKind.LITERAL, ExpressionRole.CONTEXT)
+        for surface in ("The old mill", "the river", "the town hall")
+    ]
+    docs, fixture_expressions = _fixture()
+    calls = []
+
+    def counting_sentence_spans(text):
+        calls.append(text)
+        return sentence_spans(text)
+
+    monkeypatch.setattr(augment, "sentence_spans", counting_sentence_spans)
+    sentences = generate_augmented([doc, *docs], expressions + fixture_expressions, 2, seed=5)
+    assert sorted(calls) == sorted([text, LIT_TEXT, ASSOC_TEXT])
+    # Each filled context keeps only its own sentence around the fill.
+    river = [s for s in sentences if s[0][0] == "Then"]
+    assert river and all(s[-1][0] == "rose" and len(s) < 8 for s in river)
 
 
 def test_span_mismatch_skipped():

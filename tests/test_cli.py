@@ -398,7 +398,7 @@ def test_config_value_coerced_through_flag_type(tmp_path, value):
     assert json.loads(plan_path.read_text(encoding="utf-8"))["k"] == 3
 
 
-@pytest.mark.parametrize("value", ["x", 2.5, [2]])
+@pytest.mark.parametrize("value", ["x", 2.5, [2], True])
 def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, value):
     gold = build_corpus(tmp_path)
     config = tmp_path / "config.json"
@@ -424,3 +424,73 @@ def test_config_thresholds_string_or_list(tmp_path, thresholds):
     ]) == 0
     text = report.read_text(encoding="utf-8")
     assert "accuracy_at_5km: 1.000000" in text and "accuracy_at_161km: 1.000000" in text
+
+
+def _config(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    return str(path)
+
+
+def test_config_turns_on_an_on_off_flag(tmp_path):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "bad.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\nnot a record\n", encoding="utf-8")
+    report = tmp_path / "r.txt"
+    assert main([
+        "--config", _config(tmp_path, {"lenient": True}),
+        "eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(report),
+    ]) == 0
+    assert "tp: 1" in report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"kk": 3}, "kk"),
+        ({"lenient": "yes"}, "lenient"),
+        ({"mode": "fuzzy"}, "mode"),
+        # The baseline tagger is chosen on the command line only.
+        ({"oracle_ner": True}, "oracle_ner"),
+        ({"dataset_id": None}, "dataset_id"),
+    ],
+    ids=["unknown-key", "on-off-not-bool", "not-a-choice", "tagger-choice", "null-value"],
+)
+def test_bad_config_key_or_value_is_input_error(tmp_path, capsys, values, key):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    report = tmp_path / "r.txt"
+    assert main([
+        "--config", _config(tmp_path, values),
+        "eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(report),
+    ]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_path):
+    gold = build_corpus(tmp_path)
+    config = _config(tmp_path, {"thresholds": "5", "lenient": True, "k": 3, "seed": 21})
+    plan_path = tmp_path / "plan.json"
+    assert main(["--config", config, "folds", "--gold", str(gold), "--k", "4", "--out", str(plan_path)]) == 0
+    plan = json.loads(plan_path.read_text(encoding="utf-8"))
+    assert plan["k"] == 4 and plan["seed"] == 21
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["folds", "--gold", "g", "--k", "x", "--out", "o"], ["nosuch"], [], ["folds", "--gold", "g"]],
+    ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-required"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geoeval") and "geoeval: error:" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["folds", "--help"])
+    assert exc.value.code == 0
+    assert "--k K" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import os
 import pickle
 import random
 
@@ -212,6 +213,36 @@ def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
     index, hit = load_or_ingest(str(dump), str(cache))
     assert hit is False and len(index) == len(TOY_DUMP_LINES)
     assert load_cache(str(cache)).version == index.version
+
+
+def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
+    cache = tmp_path / "foreign.cache"
+    cache.write_bytes(b"cnosuchmodule\nthing\n.")
+    with pytest.raises(GazetteerError, match="nosuchmodule.thing"):
+        load_cache(str(cache))
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8\t2.3\n", encoding="utf-8")
+    assert cli.main(["align", "--pred", str(pred), "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+class _RemoveOnLoad:
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (os.remove, (self.path,))
+
+
+def test_cache_calling_a_foreign_function_runs_nothing(tmp_path):
+    target = tmp_path / "keep.txt"
+    target.write_text("still here", encoding="utf-8")
+    cache = tmp_path / "hostile.cache"
+    cache.write_bytes(pickle.dumps({"format_version": gazetteer.CACHE_FORMAT_VERSION,
+                                    "index": _RemoveOnLoad(str(target))}))
+    with pytest.raises(GazetteerError, match="not allowed"):
+        load_cache(str(cache))
+    assert target.read_text(encoding="utf-8") == "still here"
 
 
 def test_load_or_ingest_cache_hit(tmp_path):

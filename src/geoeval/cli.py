@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import traceback
@@ -46,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="build and cache a gazetteer index")
     p.add_argument("--dump", required=True, help="Geonames-format tab-separated dump")
     p.add_argument("--cache", required=True, help="binary cache file to write/reuse")
-    p.add_argument("--feature-classes", help="comma-separated feature classes to keep (default all)")
+    p.add_argument("--feature-classes", type=_feature_classes,
+                   help="comma-separated feature classes to keep (default all)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("eval-tagging", help="score span extraction with precision/recall/F")
@@ -65,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--pred-b", help="second prediction file: adds a Wilcoxon comparison")
-    p.add_argument("--thresholds", default=f"{metrics.DEFAULT_THRESHOLD_KM:g}",
+    p.add_argument("--thresholds", type=_thresholds, default=f"{metrics.DEFAULT_THRESHOLD_KM:g}",
                    help="comma-separated km thresholds (default %(default)s)")
     p.add_argument("--mode", choices=["exact", "overlap"], default="exact")
     p.add_argument("--cache", help="gazetteer cache; enables exclusion and coordinate fill")
@@ -114,6 +116,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _thresholds(value: str) -> list[float]:
+    """A comma-separated list of finite km thresholds >= 0."""
+    try:
+        km = [float(t) for t in value.split(",") if t.strip()]
+    except ValueError:
+        km = []
+    if not km or not all(0 <= t < math.inf for t in km):
+        raise argparse.ArgumentTypeError(f"bad value {value!r}: need finite km thresholds >= 0")
+    return km
+
+
+def _feature_classes(value: str) -> set[str]:
+    classes = {c.strip() for c in value.split(",") if c.strip()}
+    if not classes:
+        raise argparse.ArgumentTypeError(f"{value!r} names no feature class")
+    return classes
+
+
 def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
     """Make the JSON object in `path` defaults of `command`, below the command line.
 
@@ -146,7 +166,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
         if action.nargs != 0:
             try:
                 value = (action.type or str)(str(value))
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise InputError(f"config {path}: bad value {value!r} for {key!r}") from exc
             if action.choices is not None and value not in action.choices:
                 raise InputError(f"config {path}: {key!r} must be one of {list(action.choices)}")
@@ -217,10 +237,7 @@ def _stat_test_line(test: stats.StatTestResult) -> str:
 def cmd_ingest(args: argparse.Namespace) -> int:
     if not os.path.exists(args.dump):
         raise InputError(f"dump file not found: {args.dump}")
-    classes = None
-    if args.feature_classes:
-        classes = {c.strip() for c in args.feature_classes.split(",") if c.strip()}
-    index, cache_hit = gazetteer.load_or_ingest(args.dump, args.cache, feature_classes=classes)
+    index, cache_hit = gazetteer.load_or_ingest(args.dump, args.cache, feature_classes=args.feature_classes)
     s = index.summary
     source = "cache hit, dump not re-parsed" if cache_hit else "parsed from dump"
     print(f"gazetteer version: {index.version} ({source})")
@@ -249,13 +266,7 @@ def cmd_eval_tagging(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_geocoding(args: argparse.Namespace) -> int:
-    try:
-        thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
-        if not thresholds:
-            raise ValueError("empty threshold list")
-    except ValueError as exc:
-        raise InputError(f"bad --thresholds value {args.thresholds!r}") from exc
-    return _evaluate(args, thresholds_km=thresholds)
+    return _evaluate(args, thresholds_km=args.thresholds)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:

@@ -47,12 +47,13 @@ COORD_AGREEMENT_DEG = 0.01
 
 
 class BratParseError(ValueError):
-    """A .ann file violates the expected standoff grammar."""
+    """A gold .txt or .ann file that cannot be read as BRAT standoff."""
 
-    def __init__(self, message: str, line_no: Optional[int] = None):
+    def __init__(self, message: str, line_no: Optional[int] = None, path: Optional[str] = None):
         self.line_no = line_no
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(prefix + message)
+        self.reason = message
+        where = f"{path}:{line_no}" if path is not None else f"line {line_no}"
+        super().__init__(f"{where}: {message}" if line_no is not None else message)
 
 
 class ExpressionKind(Enum):
@@ -124,6 +125,12 @@ class PredictionRecord:
     def __post_init__(self):
         if self.start < 0 or self.start >= self.end:
             raise ValueError(f"invalid span ({self.start}, {self.end})")
+        # The interchange format is one tab-separated record per line.
+        if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
+            raise ValueError(
+                f"{self.doc_id} ({self.start}, {self.end}): surface {self.surface!r} "
+                "contains a tab or line break"
+            )
 
     @property
     def span(self) -> tuple[int, int]:
@@ -355,11 +362,17 @@ def load_document_pair(txt_path: str, ann_path: str) -> Document:
     doc_id = os.path.splitext(os.path.basename(txt_path))[0]
     # newline="" keeps "\r\n" as two code points, as BRAT offsets count
     # them; a UTF-8 BOM is kept as U+FEFF and counted too.
-    with open(txt_path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    with open(ann_path, encoding="utf-8") as fh:
-        ann = fh.read()
-    return load_brat(text, ann, doc_id=doc_id)
+    try:
+        with open(txt_path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        with open(ann_path, encoding="utf-8") as fh:
+            ann = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BratParseError(f"{fh.name}: {exc}") from exc
+    try:
+        return load_brat(text, ann, doc_id=doc_id)
+    except BratParseError as exc:
+        raise BratParseError(exc.reason, exc.line_no, path=ann_path) from exc
 
 
 def load_directory(path: str) -> list[Document]:

@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 # Geonames main-table layout ("allCountries" dump): 19 tab-separated columns.
 GEONAMES_FIELD_COUNT = 19
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class GazetteerError(Exception):
@@ -50,21 +50,27 @@ class IngestSummary:
 class GazetteerIndex:
     """Immutable name -> candidates index over gazetteer entries.
 
-    Candidate lists are pre-sorted by descending population, then
-    ascending id, so lookup order is deterministic.
+    Each name's candidates are ranked once, at ingest, by descending
+    population, then ascending id, so lookup order is deterministic. The
+    index records the dump checksum (`version`) and the feature-class
+    filter it was built with, and is itself the cache file's content.
     """
 
     def __init__(
         self,
         entries: dict[int, GazetteerEntry],
-        name_map: dict[str, list[int]],
+        name_map: dict[str, tuple[GazetteerEntry, ...]],
         version: str,
         summary: IngestSummary,
+        feature_classes: Optional[frozenset[str]],
     ):
         self._entries = entries
         self._name_map = name_map
         self.version = version
         self.summary = summary
+        self.feature_classes = feature_classes
+        # An instance attribute, so a loaded cache carries the version it was written with.
+        self.format_version = CACHE_FORMAT_VERSION
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,14 +84,13 @@ class GazetteerIndex:
     def entries(self) -> Iterable[GazetteerEntry]:
         return self._entries.values()
 
-    def lookup(self, name: str) -> list[GazetteerEntry]:
+    def lookup(self, name: str) -> tuple[GazetteerEntry, ...]:
         """All entries whose canonical or alternate name casefolds to `name`.
 
-        Returned in descending-population order (ties by ascending id);
-        empty list when the name is unknown.
+        The stored ranking, in descending-population order (ties by
+        ascending id); empty when the name is unknown.
         """
-        ids = self._name_map.get(name.casefold(), [])
-        return [self._entries[i] for i in ids]
+        return self._name_map.get(name.casefold(), ())
 
 
 def parse_geonames_line(line: str) -> Optional[GazetteerEntry]:
@@ -129,7 +134,7 @@ def ingest(
     records whose single-letter feature class is in the set.
     """
     entries: dict[int, GazetteerEntry] = {}
-    name_map: dict[str, list[int]] = {}
+    name_map: dict = {}
     summary = IngestSummary()
 
     for line_no, line in enumerate(lines, start=1):
@@ -149,12 +154,15 @@ def ingest(
             continue
         entries[entry.id] = entry
         for name in {entry.canonical_name, *entry.alternate_names}:
-            name_map.setdefault(name.casefold(), []).append(entry.id)
+            name_map.setdefault(name.casefold(), []).append(entry)
         summary.ingested += 1
 
-    for ids in name_map.values():
-        ids.sort(key=lambda i: (-entries[i].population, i))
-    return GazetteerIndex(entries, name_map, version, summary)
+    # Ranked in place, so each list is freed as its tuple is made.
+    for name, found in name_map.items():
+        found.sort(key=lambda e: (-e.population, e.id))
+        name_map[name] = tuple(found)
+    classes = frozenset(feature_classes) if feature_classes is not None else None
+    return GazetteerIndex(entries, name_map, version, summary, classes)
 
 
 def dump_checksum(path: str) -> str:
@@ -176,15 +184,9 @@ def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> Gazett
         raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc
 
 
-def save_cache(index: GazetteerIndex, path: str, feature_classes: Optional[set[str]] = None) -> None:
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "checksum": index.version,
-        "feature_classes": sorted(feature_classes) if feature_classes is not None else None,
-        "index": index,
-    }
+def save_cache(index: GazetteerIndex, path: str) -> None:
     with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(index, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _CacheUnpickler(pickle.Unpickler):
@@ -206,22 +208,20 @@ class _CacheUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-def _read_cache(path: str) -> dict:
-    """The validated cache payload; GazetteerError when unusable."""
+def load_cache(path: str) -> GazetteerIndex:
+    """The cached index; GazetteerError when the file is unusable."""
     try:
         with open(path, "rb") as fh:
-            payload = _CacheUnpickler(fh).load()
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+            index = _CacheUnpickler(fh).load()
+    # The admitted classes raise the last three when called with bad arguments.
+    except (OSError, pickle.UnpicklingError, EOFError, TypeError, ValueError, AttributeError) as exc:
         raise GazetteerError(f"cannot read gazetteer cache {path}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format_version") != CACHE_FORMAT_VERSION:
-        raise GazetteerError(f"gazetteer cache {path} has an unsupported format version")
-    if not isinstance(payload.get("index"), GazetteerIndex):
-        raise GazetteerError(f"gazetteer cache {path} holds no gazetteer index")
-    return payload
-
-
-def load_cache(path: str) -> GazetteerIndex:
-    return _read_cache(path)["index"]
+    if not isinstance(index, GazetteerIndex) or getattr(index, "format_version", None) != CACHE_FORMAT_VERSION:
+        raise GazetteerError(
+            f"gazetteer cache {path} is not a format {CACHE_FORMAT_VERSION} index; "
+            "rerun `geoeval ingest` to rebuild it"
+        )
+    return index
 
 
 def load_or_ingest(
@@ -231,19 +231,18 @@ def load_or_ingest(
 ) -> tuple[GazetteerIndex, bool]:
     """Return (index, cache_hit): reuse the cache when it matches the dump.
 
-    A cache matches when its embedded checksum equals the dump checksum
-    and it was built with the same feature-class filter.
+    A cache matches when its index version equals the dump checksum and
+    it was built with the same feature-class filter.
     """
     checksum = dump_checksum(dump_path)
-    wanted_filter = sorted(feature_classes) if feature_classes is not None else None
     try:
-        payload = _read_cache(cache_path)
-        if payload.get("checksum") == checksum and payload.get("feature_classes") == wanted_filter:
-            return payload["index"], True
+        index = load_cache(cache_path)
+        if index.version == checksum and index.feature_classes == feature_classes:
+            return index, True
     except GazetteerError:
         pass
     index = ingest_path(dump_path, feature_classes=feature_classes)
-    save_cache(index, cache_path, feature_classes=feature_classes)
+    save_cache(index, cache_path)
     return index, False
 
 

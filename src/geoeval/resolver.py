@@ -73,9 +73,9 @@ def resolve_population(
     """Assign each record the coordinates of its most populous candidate.
 
     Ties break to the lowest gazetteer id. Surfaces are normalized via
-    the lexicon first when one is supplied; populated_only restricts the
-    candidate pool to entries with population > 0. Records with no
-    candidate pass through unresolved.
+    the lexicon first when one is supplied; populated_only leaves out
+    candidates of population 0. Records with no candidate pass through
+    unresolved.
     """
     out: list[PredictionRecord] = []
     n_resolved = 0
@@ -84,13 +84,11 @@ def resolve_population(
         if lexicon is not None:
             name = lexicon.get(name.casefold(), name)
         candidates = index.lookup(name)
-        if populated_only:
-            candidates = [c for c in candidates if c.population > 0]
-        if not candidates:
+        # lookup() is ranked by descending population then ascending id, so
+        # the head is the heuristic's pick, and if it is unpopulated, all are.
+        if not candidates or (populated_only and candidates[0].population == 0):
             out.append(rec)
             continue
-        # lookup() is sorted by descending population then ascending id,
-        # so the head of the list is the heuristic's pick.
         best = candidates[0]
         out.append(dataclasses.replace(rec, predicted_coord=best.coord))
         n_resolved += 1

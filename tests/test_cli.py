@@ -324,6 +324,32 @@ def test_malformed_predictions_strict_vs_lenient(tmp_path, capsys):
     ]) == 0
 
 
+def test_bad_gold_line_names_its_ann_file(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    (gold / "doc2.ann").write_text("T1\tLiteral zero 6\tLondon\n", encoding="utf-8")
+    assert main(["folds", "--gold", str(gold), "--out", str(tmp_path / "plan.json")]) == 1
+    assert f"error: {gold / 'doc2.ann'}:1: unparseable T-line" in capsys.readouterr().err
+
+
+def test_undecodable_gold_text_names_its_file(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    (gold / "doc3.txt").write_bytes(b"Mel\xffbourne winters are mild.")
+    assert main(["folds", "--gold", str(gold), "--out", str(tmp_path / "plan.json")]) == 1
+    assert f"error: {gold / 'doc3.txt'}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_baseline_refuses_a_surface_with_a_tab(tmp_path, capsys):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    ann = "T1\tLiteral 0 8\tNew\tYork\nN1\tReference T1 Geonames:1004\tNew York\n"
+    write_brat_doc(gold, "doc1", "New\tYork rose.", ann)
+    _, cache = build_cache(tmp_path)
+    pred = tmp_path / "oracle.pred"
+    assert main(["baseline", "--gold", str(gold), "--cache", str(cache), "--oracle-ner", "--out", str(pred)]) == 1
+    assert "doc1 (0, 8)" in capsys.readouterr().err
+    assert not pred.exists()
+
+
 def test_csv_row_appended(tmp_path):
     gold = build_corpus(tmp_path)
     pred = tmp_path / "p.pred"
@@ -480,8 +506,15 @@ def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_pat
 
 @pytest.mark.parametrize(
     "argv",
-    [["folds", "--gold", "g", "--k", "x", "--out", "o"], ["nosuch"], [], ["folds", "--gold", "g"]],
-    ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-required"],
+    [
+        ["folds", "--gold", "g", "--k", "x", "--out", "o"], ["nosuch"], [], ["folds", "--gold", "g"],
+        # Values that parse but would change a score or a filter silently.
+        ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "nan"],
+        ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "5,-1"],
+        ["ingest", "--dump", "d", "--cache", "c", "--feature-classes", ","],
+    ],
+    ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-required",
+         "nan-threshold", "negative-threshold", "no-feature-class"],
 )
 def test_usage_error_exits_1(capsys, argv):
     assert main(argv) == 1

@@ -34,7 +34,7 @@ def test_single_record_ingest():
 def test_empty_stream():
     index = ingest([])
     assert len(index) == 0
-    assert index.lookup("anything") == []
+    assert index.lookup("anything") == ()
 
 
 def test_multiple_same_name_entries_found_by_linear_scan():
@@ -76,7 +76,11 @@ def test_lookup_tie_breaks_on_id():
 
 
 def test_lookup_unknown_name(toy_index):
-    assert toy_index.lookup("atlantis") == []
+    assert toy_index.lookup("atlantis") == ()
+
+
+def test_lookup_returns_the_stored_ranking(toy_index):
+    assert toy_index.lookup("melbourne") is toy_index.lookup("MELBOURNE")
 
 
 def test_lookup_is_case_insensitive(toy_index):
@@ -90,7 +94,7 @@ def test_alternate_names_indexed(toy_index):
 
 def test_no_diacritic_stripping(toy_index):
     assert [e.id for e in toy_index.lookup("münster")] == [1013]
-    assert toy_index.lookup("munster") == []
+    assert toy_index.lookup("munster") == ()
 
 
 def test_malformed_lines_skipped_and_counted():
@@ -115,7 +119,7 @@ def test_duplicate_id_skipped():
     )
     assert index.summary.ingested == 1
     assert index.summary.skipped == 1
-    assert index.lookup("beta") == []
+    assert index.lookup("beta") == ()
 
 
 def test_feature_class_filter():
@@ -127,7 +131,7 @@ def test_feature_class_filter():
     index = ingest(lines, feature_classes={"P", "A"})
     assert index.summary.ingested == 2
     assert index.summary.filtered == 1
-    assert index.lookup("jailhouse") == []
+    assert index.lookup("jailhouse") == ()
 
 
 def test_every_entry_reachable_under_canonical_name(toy_index):
@@ -192,12 +196,17 @@ def test_cache_rejects_bad_format(tmp_path):
         {"format_version": gazetteer.CACHE_FORMAT_VERSION + 1, "index": None},
         {"format_version": gazetteer.CACHE_FORMAT_VERSION},
         {"format_version": gazetteer.CACHE_FORMAT_VERSION, "index": {"melbourne": [1001]}},
+        # Admitted classes called with bad arguments: TypeError, ValueError, AttributeError.
+        b"cgeoeval.geodesy\nCoordinate\n(I1\ntR.",
+        b"cgeoeval.geodesy\nCoordinate\n(I999\nI0\ntR.",
+        b"\x80\x04cgeoeval.gazetteer\nGazetteerEntry\n)\x81N}X\x02\x00\x00\x00id\x94K\x01sb.",
     ],
-    ids=["not-a-dict", "wrong-version", "missing-index", "index-not-an-index"],
+    ids=["not-a-dict", "wrong-version", "missing-index", "index-not-an-index",
+         "bad-arguments-type", "bad-arguments-value", "bad-state"],
 )
 def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
     cache = tmp_path / "shape.cache"
-    cache.write_bytes(pickle.dumps(payload))
+    cache.write_bytes(payload if isinstance(payload, bytes) else pickle.dumps(payload))
     with pytest.raises(GazetteerError):
         load_cache(str(cache))
 
@@ -213,6 +222,45 @@ def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
     index, hit = load_or_ingest(str(dump), str(cache))
     assert hit is False and len(index) == len(TOY_DUMP_LINES)
     assert load_cache(str(cache)).version == index.version
+
+
+def _set_format_version(index, version):
+    if version is None:
+        del index.format_version  # as written before the index carried one
+    else:
+        index.format_version = version
+    return index
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda index: _set_format_version(index, gazetteer.CACHE_FORMAT_VERSION - 1),
+        lambda index: _set_format_version(index, gazetteer.CACHE_FORMAT_VERSION + 1),
+        lambda index: _set_format_version(index, None),
+        # The format-1 layout: the index inside a dict that repeats its checksum.
+        lambda index: {"format_version": 1, "checksum": index.version, "feature_classes": None, "index": index},
+    ],
+    ids=["older", "newer", "no-version", "format-1-payload"],
+)
+def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, wrap):
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    cache = tmp_path / "old.cache"
+    # Same dump checksum and filter: only the format version makes it unusable.
+    cache.write_bytes(pickle.dumps(wrap(ingest_path(str(dump)))))
+    with pytest.raises(GazetteerError, match="rerun `geoeval ingest`"):
+        load_cache(str(cache))
+
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8\t2.3\n", encoding="utf-8")
+    assert cli.main(["align", "--pred", str(pred), "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert str(cache) in err and "ingest" in err and "Traceback" not in err
+
+    index, hit = load_or_ingest(str(dump), str(cache))
+    assert hit is False
+    assert load_cache(str(cache)).format_version == gazetteer.CACHE_FORMAT_VERSION
 
 
 def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
@@ -269,6 +317,17 @@ def test_load_or_ingest_respects_filter_change(tmp_path):
     index, hit = load_or_ingest(str(dump), str(cache))
     assert hit is False
     assert index.lookup("maine")  # A-class entry present without the filter
+
+
+def test_index_records_its_filter(tmp_path):
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    cache = tmp_path / "dump.cache"
+    built, _ = load_or_ingest(str(dump), str(cache), {"P"})
+    assert built.feature_classes == {"P"}
+    assert load_cache(str(cache)).feature_classes == {"P"}
+    assert load_or_ingest(str(dump), str(cache), {"P"})[1] is True
+    assert load_or_ingest(str(dump), str(cache))[0].feature_classes is None
 
 
 def test_ingest_path_unreadable(tmp_path):

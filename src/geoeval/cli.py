@@ -275,7 +275,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     excl = corpus.apply_exclusion_policy(docs, index)
 
     if args.ner == "oracle":
-        records = tagger.oracle_spans(excl.documents)
+        records = tagger.oracle_spans(excl.kept)
     else:
         blocklist = tagger.DEFAULT_BLOCKLIST
         if args.blocklist:

@@ -164,8 +164,10 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
     attr_lines: list[tuple[int, str, str, Optional[str]]] = []
     norm_lines: list[tuple[int, str, str, str]] = []
 
-    for line_no, raw in enumerate(ann.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    # Lines end at LF only, as the writer's do: str.splitlines would also
+    # break a surface at \x0b, \x85, U+2028 and the like.
+    for line_no, raw in enumerate(ann.split("\n"), start=1):
+        line = raw.removesuffix("\r")
         if not line.strip():
             continue
         kind = line[0]
@@ -313,8 +315,8 @@ def serialize_brat(doc: Document) -> tuple[str, str]:
 
     def emit_t(label: str, start: int, end: int, surface: str) -> str:
         nonlocal t_counter
-        if "\n" in surface or "\t" in surface:
-            raise ValueError(f"cannot serialize surface containing tab/newline: {surface!r}")
+        if "\t" in surface or "\r" in surface or "\n" in surface:
+            raise ValueError(f"cannot serialize surface containing a tab, CR or LF: {surface!r}")
         t_counter += 1
         tid = f"T{t_counter}"
         lines.append(f"{tid}\t{label} {start} {end}\t{surface}")
@@ -404,9 +406,8 @@ class ExcludedAnnotation:
 
 @dataclass
 class ExclusionResult:
-    kept: list[tuple[str, ToponymAnnotation]]
+    kept: list[tuple[str, ToponymAnnotation]]  # coordinates filled, in document order
     excluded: list[ExcludedAnnotation]
-    documents: list[Document]  # same docs, annotations filtered + coords filled
 
 
 def apply_exclusion_policy(docs: Iterable[Document], index: GazetteerIndex) -> ExclusionResult:
@@ -416,14 +417,13 @@ def apply_exclusion_policy(docs: Iterable[Document], index: GazetteerIndex) -> E
     coordinate source, and (b) annotations lacking a resolvable gazetteer
     link: facilities, street names and venues with no entry, or dangling
     ids. Kept annotations have their coordinates filled from the
-    gazetteer when not explicitly annotated.
+    gazetteer when not explicitly annotated. `kept` is the scored gold
+    set, and the oracle tagger copies it, so the oracle scores F = 1.
     """
     kept: list[tuple[str, ToponymAnnotation]] = []
     excluded: list[ExcludedAnnotation] = []
-    out_docs: list[Document] = []
 
     for doc in docs:
-        kept_here: list[ToponymAnnotation] = []
         for ann in doc.annotations:
             entry = index.entry(ann.gazetteer_id) if ann.gazetteer_id is not None else None
             has_coord = ann.coord is not None or entry is not None
@@ -448,16 +448,7 @@ def apply_exclusion_policy(docs: Iterable[Document], index: GazetteerIndex) -> E
                     entry.coord,
                 )
             kept.append((doc.doc_id, ann))
-            kept_here.append(ann)
-        out_docs.append(
-            Document(
-                doc_id=doc.doc_id,
-                text=doc.text,
-                annotations=kept_here,
-                expressions=list(doc.expressions),
-            )
-        )
-    return ExclusionResult(kept=kept, excluded=excluded, documents=out_docs)
+    return ExclusionResult(kept=kept, excluded=excluded)
 
 
 @dataclass(frozen=True)

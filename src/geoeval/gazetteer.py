@@ -93,6 +93,10 @@ class GazetteerIndex:
         return self._name_map.get(name.casefold(), ())
 
 
+# What `ingest` gives an index; a cache holding any other attributes is refused.
+_INDEX_ATTRIBUTES = frozenset(vars(GazetteerIndex({}, {}, "", IngestSummary(), None)))
+
+
 def parse_geonames_line(line: str) -> Optional[GazetteerEntry]:
     """Parse one Geonames main-table record; None when malformed."""
     fields = line.rstrip("\n").split("\t")
@@ -216,7 +220,11 @@ def load_cache(path: str) -> GazetteerIndex:
     # The admitted classes raise the last three when called with bad arguments.
     except (OSError, pickle.UnpicklingError, EOFError, TypeError, ValueError, AttributeError) as exc:
         raise GazetteerError(f"cannot read gazetteer cache {path}: {exc}") from exc
-    if not isinstance(index, GazetteerIndex) or getattr(index, "format_version", None) != CACHE_FORMAT_VERSION:
+    if (
+        not isinstance(index, GazetteerIndex)
+        or vars(index).keys() != _INDEX_ATTRIBUTES
+        or index.format_version != CACHE_FORMAT_VERSION
+    ):
         raise GazetteerError(
             f"gazetteer cache {path} is not a format {CACHE_FORMAT_VERSION} index; "
             "rerun `geoeval ingest` to rebuild it"
@@ -239,6 +247,7 @@ def load_or_ingest(
         index = load_cache(cache_path)
         if index.version == checksum and index.feature_classes == feature_classes:
             return index, True
+        del index  # a stale index is freed before the dump is ingested again
     except GazetteerError:
         pass
     index = ingest_path(dump_path, feature_classes=feature_classes)

@@ -26,7 +26,7 @@ from .corpus import PredictionRecord, ToponymAnnotation
 from .gazetteer import GazetteerIndex
 from .geodesy import MAX_ERROR_KM, great_circle_distance
 from .resolver import MIN_RESOLVED_FRACTION
-from .stats import MCNEMAR_RELIABLE_MIN, McNemarTable, StatTestResult, mcnemar, wilcoxon_signed_rank
+from .stats import McNemarTable, StatTestResult, mcnemar, wilcoxon_signed_rank
 
 DEFAULT_THRESHOLD_KM = 161.0
 
@@ -301,19 +301,19 @@ def _select_gold(
     return with_coords
 
 
+def _append_test(report: EvalReport, result: StatTestResult) -> None:
+    """Add a paired test to the report, and its note as a warning."""
+    report.stat_tests.append(result)
+    if result.note:
+        report.warnings.append(f"{result.name}: {result.note}")
+
+
 def _compare_tagging(a: SpanMatchResult, b: SpanMatchResult, report: EvalReport) -> None:
     """McNemar over the gold spans each system matched."""
     correct_a = {(doc_id, ann.start, ann.end) for (doc_id, ann), _ in a.pairs}
     correct_b = {(doc_id, ann.start, ann.end) for (doc_id, ann), _ in b.pairs}
     table = McNemarTable(b=len(correct_a - correct_b), c=len(correct_b - correct_a))
-    result = mcnemar(table)
-    n = table.b + table.c
-    report.stat_tests.append(StatTestResult("mcnemar", result.statistic, result.p_value, n))
-    if result.unreliable:
-        report.warnings.append(
-            f"mcnemar: only {n} disagreements; "
-            f"chi-squared approximation unreliable below {MCNEMAR_RELIABLE_MIN}"
-        )
+    _append_test(report, mcnemar(table))
 
 
 def _compare_geocoding(
@@ -325,9 +325,7 @@ def _compare_geocoding(
         report.warnings.append("wilcoxon: no toponyms resolved by both systems")
         return
     result = wilcoxon_signed_rank([errors_a[k] for k in common], [errors_b[k] for k in common])
-    report.stat_tests.append(StatTestResult("wilcoxon", result.z, result.p_value, result.n))
-    if result.note:
-        report.warnings.append(f"wilcoxon: {result.note}")
+    _append_test(report, result)
 
 
 def evaluate(

@@ -29,12 +29,16 @@ REPORTING_ALPHAS = (0.05, 0.01)
 
 @dataclass(frozen=True)
 class StatTestResult:
-    """A row of the significance-test block appended to report CSVs."""
+    """A paired test's outcome as the report carries it.
+
+    `note`, when set, is the caveat the report prints as a warning.
+    """
 
     name: str
     statistic: float
     p_value: float
     n: int
+    note: Optional[str] = None
 
 
 def chi2_sf_1dof(statistic: float) -> float:
@@ -61,43 +65,26 @@ class McNemarTable:
             raise ValueError("discordant counts must be non-negative")
 
 
-@dataclass(frozen=True)
-class McNemarResult:
-    statistic: float
-    p_value: float
-    corrected: bool
-    unreliable: bool  # b + c below MCNEMAR_RELIABLE_MIN
-    note: Optional[str] = None
-
-
-def mcnemar(table: McNemarTable, corrected: bool = True) -> McNemarResult:
-    """McNemar's test on a discordant-pair table.
+def mcnemar(table: McNemarTable, corrected: bool = True) -> StatTestResult:
+    """McNemar's test on a discordant-pair table; n is b + c.
 
     Applies the continuity correction by default; pass corrected=False
     for the plain (|b - c|)^2 / (b + c) statistic.
     """
     n = table.b + table.c
+    note = None
+    if n < MCNEMAR_RELIABLE_MIN:
+        note = (
+            f"only {n} disagreements; "
+            f"chi-squared approximation unreliable below {MCNEMAR_RELIABLE_MIN}"
+        )
     if n == 0:
-        return McNemarResult(0.0, 1.0, corrected, unreliable=True, note="no disagreements")
+        return StatTestResult("mcnemar", 0.0, 1.0, 0, note)
     diff = abs(table.b - table.c)
     if corrected:
         diff = max(0.0, diff - 1.0)
     statistic = diff * diff / n
-    return McNemarResult(
-        statistic=statistic,
-        p_value=chi2_sf_1dof(statistic),
-        corrected=corrected,
-        unreliable=n < MCNEMAR_RELIABLE_MIN,
-    )
-
-
-@dataclass(frozen=True)
-class WilcoxonResult:
-    z: float
-    p_value: float
-    n: int  # pairs remaining after zero-difference drop
-    w_plus: float
-    note: Optional[str] = None
+    return StatTestResult("mcnemar", statistic, chi2_sf_1dof(statistic), n, note)
 
 
 def _midranks(values: Sequence[float]) -> tuple[list[float], float]:
@@ -127,22 +114,22 @@ def wilcoxon_signed_rank(
     errors_a: Sequence[float],
     errors_b: Sequence[float],
     tie_corrected_variance: bool = False,
-) -> WilcoxonResult:
+) -> StatTestResult:
     """Two-tailed Wilcoxon signed-rank test over paired error lists.
 
-    Zero differences are dropped and tied absolute differences are
-    mid-ranked. The z statistic uses the plain variance
-    n(n+1)(2n+1)/24 by default; tie_corrected_variance subtracts the
-    tie term (matching common library implementations). z is positive
-    when errors_a tend to exceed errors_b, and flips sign exactly when
-    the arguments swap.
+    Zero differences are dropped (n counts the pairs left) and tied
+    absolute differences are mid-ranked. The statistic is z, from the
+    plain variance n(n+1)(2n+1)/24 by default; tie_corrected_variance
+    subtracts the tie term (matching common library implementations).
+    z is positive when errors_a tend to exceed errors_b, and flips sign
+    exactly when the arguments swap.
     """
     if len(errors_a) != len(errors_b):
         raise ValueError("paired samples must have equal length")
     diffs = [a - b for a, b in zip(errors_a, errors_b) if a != b]
     n = len(diffs)
     if n == 0:
-        return WilcoxonResult(0.0, 1.0, 0, 0.0, note="all differences zero")
+        return StatTestResult("wilcoxon", 0.0, 1.0, 0, "all differences zero")
 
     order = sorted(range(n), key=lambda i: abs(diffs[i]))
     sorted_abs = [abs(diffs[i]) for i in order]
@@ -157,7 +144,7 @@ def wilcoxon_signed_rank(
     note = None
     if n < WILCOXON_SMALL_N:
         note = f"only {n} nonzero differences; normal approximation is weak"
-    return WilcoxonResult(z=z, p_value=normal_sf_two_tailed(z), n=n, w_plus=w_plus, note=note)
+    return StatTestResult("wilcoxon", z, normal_sf_two_tailed(z), n, note)
 
 
 @dataclass(frozen=True)

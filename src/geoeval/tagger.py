@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .corpus import Document, PredictionRecord
+from .corpus import Document, PredictionRecord, ToponymAnnotation
 from .gazetteer import GazetteerIndex
 
 LOCATION_LABEL = "Location"
@@ -88,20 +88,19 @@ def gazetteer_tag(
     return records
 
 
-def oracle_spans(docs: Iterable[Document]) -> list[PredictionRecord]:
-    """One prediction per gold annotation, spans copied verbatim.
+def oracle_spans(gold: Iterable[tuple[str, ToponymAnnotation]]) -> list[PredictionRecord]:
+    """One prediction per (doc_id, annotation) gold span, copied verbatim.
 
-    Apply the exclusion policy to the documents first when the oracle
-    should cover only the geocodable subset.
+    Pass the exclusion policy's `kept` spans when the oracle should cover
+    only the geocodable subset, or `corpus.gold_spans(docs)` for all gold.
     """
     return [
         PredictionRecord(
-            doc_id=doc.doc_id,
+            doc_id=doc_id,
             start=ann.start,
             end=ann.end,
             surface=ann.surface,
             predicted_label=LOCATION_LABEL,
         )
-        for doc in docs
-        for ann in doc.annotations
+        for doc_id, ann in gold
     ]

@@ -1,6 +1,8 @@
+import gc
 import os
 import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,11 @@ def _set_format_version(index, version):
     return index
 
 
+def _without(index, name):
+    delattr(index, name)
+    return index
+
+
 @pytest.mark.parametrize(
     "wrap",
     [
@@ -240,14 +247,17 @@ def _set_format_version(index, version):
         lambda index: _set_format_version(index, None),
         # The format-1 layout: the index inside a dict that repeats its checksum.
         lambda index: {"format_version": 1, "checksum": index.version, "feature_classes": None, "index": index},
+        # A format-2 index that lacks an attribute `ingest` gives it.
+        lambda index: _without(index, "version"),
+        lambda index: _without(index, "_name_map"),
     ],
-    ids=["older", "newer", "no-version", "format-1-payload"],
+    ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map"],
 )
 def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, wrap):
     dump = tmp_path / "dump.tsv"
     dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
     cache = tmp_path / "old.cache"
-    # Same dump checksum and filter: only the format version makes it unusable.
+    # Same dump and filter: only `wrap` makes the cache unusable.
     cache.write_bytes(pickle.dumps(wrap(ingest_path(str(dump)))))
     with pytest.raises(GazetteerError, match="rerun `geoeval ingest`"):
         load_cache(str(cache))
@@ -317,6 +327,30 @@ def test_load_or_ingest_respects_filter_change(tmp_path):
     index, hit = load_or_ingest(str(dump), str(cache))
     assert hit is False
     assert index.lookup("maine")  # A-class entry present without the filter
+
+
+def test_rebuild_frees_the_stale_index_before_ingesting(tmp_path, monkeypatch):
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    cache = tmp_path / "dump.cache"
+    load_or_ingest(str(dump), str(cache), {"A"})
+
+    loaded = []
+
+    def recording_load_cache(path):
+        index = load_cache(path)
+        loaded.append(weakref.ref(index))
+        return index
+
+    def checking_ingest_path(path, feature_classes=None):
+        gc.collect()
+        assert loaded and loaded[0]() is None, "stale index still alive during the rebuild"
+        return ingest_path(path, feature_classes)
+
+    monkeypatch.setattr(gazetteer, "load_cache", recording_load_cache)
+    monkeypatch.setattr(gazetteer, "ingest_path", checking_ingest_path)
+    index, hit = load_or_ingest(str(dump), str(cache), None)
+    assert hit is False and index.feature_classes is None
 
 
 def test_index_records_its_filter(tmp_path):

@@ -9,7 +9,6 @@ from geoeval.stats import (
     FoldPlan,
     McNemarTable,
     PairedTResult,
-    WilcoxonResult,
     chi2_sf_1dof,
     make_folds,
     mcnemar,
@@ -39,11 +38,11 @@ class TestMcNemar:
     def test_no_disagreements(self):
         result = mcnemar(McNemarTable(b=0, c=0))
         assert result.p_value == 1.0
-        assert result.note == "no disagreements"
+        assert result.note == "only 0 disagreements; chi-squared approximation unreliable below 25"
 
     def test_unreliable_flag(self):
-        assert mcnemar(McNemarTable(b=10, c=5)).unreliable
-        assert not mcnemar(McNemarTable(b=20, c=10)).unreliable
+        assert mcnemar(McNemarTable(b=10, c=5)).note is not None
+        assert mcnemar(McNemarTable(b=20, c=10)).note is None
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -88,8 +87,8 @@ class TestWilcoxon:
         b = [float(i * 7 % 13) for i in range(30)]
         a = [x + 100.0 for x in b]
         result = wilcoxon_signed_rank(a, b)
-        assert abs(result.z) == pytest.approx(4.78, abs=0.01)
-        assert result.z > 0  # errors_a exceed errors_b
+        assert abs(result.statistic) == pytest.approx(4.78, abs=0.01)
+        assert result.statistic > 0  # errors_a exceed errors_b
         assert result.p_value < 1e-5
 
     def test_swap_flips_sign_exactly(self):
@@ -97,7 +96,7 @@ class TestWilcoxon:
         a = [x + 100.0 for x in b]
         fwd = wilcoxon_signed_rank(a, b)
         rev = wilcoxon_signed_rank(b, a)
-        assert rev.z == -fwd.z
+        assert rev.statistic == -fwd.statistic
         assert rev.p_value == fwd.p_value
 
     def test_one_swapped_pair_shrinks_z(self):
@@ -107,7 +106,7 @@ class TestWilcoxon:
         a_swapped = list(a)
         a_swapped[0] = b[0] - 100.0
         partial = wilcoxon_signed_rank(a_swapped, b)
-        assert abs(partial.z) < abs(full.z)
+        assert abs(partial.statistic) < abs(full.statistic)
 
     def test_small_n_warning(self):
         result = wilcoxon_signed_rank([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
@@ -133,7 +132,7 @@ class TestWilcoxon:
         a = [x + 100.0 for x in b]
         result = wilcoxon_signed_rank(a, b, tie_corrected_variance=True)
         scipy_result = scipy.stats.wilcoxon(a, b, correction=False, method="approx")
-        assert abs(result.z) == pytest.approx(5.4772, abs=0.01)
+        assert abs(result.statistic) == pytest.approx(5.4772, abs=0.01)
         assert result.p_value == pytest.approx(float(scipy_result.pvalue), rel=1e-9)
 
     @given(
@@ -148,7 +147,7 @@ class TestWilcoxon:
         fwd = wilcoxon_signed_rank(a, b)
         rev = wilcoxon_signed_rank(b, a)
         assert 0.0 <= fwd.p_value <= 1.0
-        assert fwd.z == -rev.z or (fwd.z == 0.0 and rev.z == 0.0)
+        assert fwd.statistic == -rev.statistic or (fwd.statistic == 0.0 and rev.statistic == 0.0)
 
 
 class TestStudentT:

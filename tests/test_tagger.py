@@ -1,6 +1,6 @@
 import pytest
 
-from geoeval.corpus import Document, ToponymAnnotation, apply_exclusion_policy
+from geoeval.corpus import Document, ToponymAnnotation, apply_exclusion_policy, gold_spans
 from geoeval.metrics import MatchMode, f_score, match_spans
 from geoeval.tagger import (
     DEFAULT_BLOCKLIST,
@@ -94,7 +94,7 @@ def _doc_with_gold(doc_id, text, surfaces_and_ids):
 
 def test_oracle_spans_copy_gold():
     doc = _doc_with_gold("d", "Paris, London, Nice.", [("Paris", 1004), ("London", 1005), ("Nice", 1008)])
-    records = oracle_spans([doc])
+    records = oracle_spans(gold_spans([doc]))
     assert len(records) == 3
     assert [(r.start, r.end) for r in records] == [(a.start, a.end) for a in doc.annotations]
     assert all(r.predicted_coord is None for r in records)
@@ -110,7 +110,7 @@ def test_oracle_spans_score_perfect_f(toy_index):
         _doc_with_gold("d2", "Melbourne waits.", [("Melbourne", 1001)]),
     ]
     excl = apply_exclusion_policy(docs, toy_index)
-    records = oracle_spans(excl.documents)
+    records = oracle_spans(excl.kept)
     result = match_spans(excl.kept, records, MatchMode.EXACT)
     assert f_score(result.counts).f == 1.0
 
@@ -124,5 +124,5 @@ def test_oracle_spans_after_exclusion(toy_index):
         )
     ]
     excl = apply_exclusion_policy(docs, toy_index)
-    records = oracle_spans(excl.documents)
+    records = oracle_spans(excl.kept)
     assert [r.surface for r in records] == ["Paris", "London"]

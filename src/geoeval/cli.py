@@ -191,7 +191,7 @@ def _load_index(path: str) -> gazetteer.GazetteerIndex:
 
 def _load_predictions(path: str, lenient: bool) -> list[corpus.PredictionRecord]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             records, errors = corpus.load_predictions(fh)
     except OSError as exc:
         raise InputError(f"cannot read predictions {path}: {exc}") from exc
@@ -280,7 +280,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         blocklist = tagger.DEFAULT_BLOCKLIST
         if args.blocklist:
             try:
-                with open(args.blocklist, encoding="utf-8") as fh:
+                with open(args.blocklist, encoding="utf-8-sig") as fh:
                     blocklist = frozenset(line.strip().casefold() for line in fh if line.strip())
             except OSError as exc:
                 raise InputError(f"cannot read blocklist {args.blocklist}: {exc}") from exc

@@ -126,6 +126,8 @@ class PredictionRecord:
         if self.start < 0 or self.start >= self.end:
             raise ValueError(f"invalid span ({self.start}, {self.end})")
         # The interchange format is one tab-separated record per line.
+        if "\t" in self.doc_id or "\n" in self.doc_id or "\r" in self.doc_id:
+            raise ValueError(f"document id {self.doc_id!r} contains a tab or line break")
         if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
             raise ValueError(
                 f"{self.doc_id} ({self.start}, {self.end}): surface {self.surface!r} "
@@ -363,11 +365,12 @@ def serialize_brat(doc: Document) -> tuple[str, str]:
 def load_document_pair(txt_path: str, ann_path: str) -> Document:
     doc_id = os.path.splitext(os.path.basename(txt_path))[0]
     # newline="" keeps "\r\n" as two code points, as BRAT offsets count
-    # them; a UTF-8 BOM is kept as U+FEFF and counted too.
+    # them; a UTF-8 BOM is kept as U+FEFF and counted too. The .ann holds
+    # no offsets into itself, so its BOM is dropped.
     try:
         with open(txt_path, encoding="utf-8", newline="") as fh:
             text = fh.read()
-        with open(ann_path, encoding="utf-8") as fh:
+        with open(ann_path, encoding="utf-8-sig") as fh:
             ann = fh.read()
     except UnicodeDecodeError as exc:
         raise BratParseError(f"{fh.name}: {exc}") from exc

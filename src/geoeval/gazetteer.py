@@ -1,9 +1,9 @@
 """Geonames-style gazetteer ingest and case-folded name lookup.
 
 The index maps every canonical and alternate name (Unicode-casefolded,
-no diacritic stripping) to its candidate entries. It is immutable after
-ingest and can be persisted to a binary cache keyed by the dump checksum
-so repeated evaluations skip re-parsing the dump.
+no diacritic stripping) to its candidate entries. It is immutable once
+built and can be persisted to a cache of plain rows keyed by the dump
+checksum, so repeated evaluations skip re-parsing the dump.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import pickle
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Optional
 
 from .geodesy import Coordinate, great_circle_distance
@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 # Geonames main-table layout ("allCountries" dump): 19 tab-separated columns.
 GEONAMES_FIELD_COUNT = 19
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 class GazetteerError(Exception):
@@ -39,6 +39,10 @@ class GazetteerEntry:
     feature_code: str
     country_code: str
 
+    def __post_init__(self):
+        if type(self.id) is not int or type(self.population) is not int or self.population < 0:
+            raise ValueError(f"gazetteer entry {self.id!r}: bad id or population {self.population!r}")
+
 
 @dataclass
 class IngestSummary:
@@ -50,27 +54,36 @@ class IngestSummary:
 class GazetteerIndex:
     """Immutable name -> candidates index over gazetteer entries.
 
-    Each name's candidates are ranked once, at ingest, by descending
-    population, then ascending id, so lookup order is deterministic. The
-    index records the dump checksum (`version`) and the feature-class
-    filter it was built with, and is itself the cache file's content.
+    The constructor ranks the entries once, by descending population, then
+    ascending id, and files each under its case-folded names in that order,
+    so every name's candidates come out ranked; a duplicate id raises
+    ValueError. It records the dump checksum (`version`) and the
+    feature-class filter the entries passed.
     """
 
     def __init__(
         self,
-        entries: dict[int, GazetteerEntry],
-        name_map: dict[str, tuple[GazetteerEntry, ...]],
+        entries: Iterable[GazetteerEntry],
         version: str,
         summary: IngestSummary,
-        feature_classes: Optional[frozenset[str]],
+        feature_classes: Optional[Iterable[str]],
     ):
-        self._entries = entries
-        self._name_map = name_map
+        ranked = sorted(entries, key=lambda e: (-e.population, e.id))
+        self._entries: dict[int, GazetteerEntry] = {}
+        name_map: dict = {}
+        for entry in ranked:
+            if entry.id in self._entries:
+                raise ValueError(f"duplicate gazetteer id {entry.id}")
+            self._entries[entry.id] = entry
+            for name in {entry.canonical_name, *entry.alternate_names}:
+                name_map.setdefault(name.casefold(), []).append(entry)
+        # Converted in place, so each list is freed as its tuple is made.
+        for name, found in name_map.items():
+            name_map[name] = tuple(found)
+        self._name_map: dict[str, tuple[GazetteerEntry, ...]] = name_map
         self.version = version
         self.summary = summary
-        self.feature_classes = feature_classes
-        # An instance attribute, so a loaded cache carries the version it was written with.
-        self.format_version = CACHE_FORMAT_VERSION
+        self.feature_classes = frozenset(feature_classes) if feature_classes is not None else None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -82,6 +95,7 @@ class GazetteerIndex:
         return self._entries.get(entry_id)
 
     def entries(self) -> Iterable[GazetteerEntry]:
+        """Every entry, in rank order."""
         return self._entries.values()
 
     def lookup(self, name: str) -> tuple[GazetteerEntry, ...]:
@@ -91,10 +105,6 @@ class GazetteerIndex:
         ascending id); empty when the name is unknown.
         """
         return self._name_map.get(name.casefold(), ())
-
-
-# What `ingest` gives an index; a cache holding any other attributes is refused.
-_INDEX_ATTRIBUTES = frozenset(vars(GazetteerIndex({}, {}, "", IngestSummary(), None)))
 
 
 def parse_geonames_line(line: str) -> Optional[GazetteerEntry]:
@@ -110,18 +120,7 @@ def parse_geonames_line(line: str) -> Optional[GazetteerEntry]:
         alternates = frozenset(a.strip() for a in fields[3].split(",") if a.strip())
         coord = Coordinate(float(fields[4]), float(fields[5]))
         population = int(fields[14]) if fields[14].strip() else 0
-        if population < 0:
-            return None
-        return GazetteerEntry(
-            id=entry_id,
-            canonical_name=name,
-            alternate_names=alternates,
-            coord=coord,
-            population=population,
-            feature_class=fields[6],
-            feature_code=fields[7],
-            country_code=fields[8],
-        )
+        return GazetteerEntry(entry_id, name, alternates, coord, population, fields[6], fields[7], fields[8])
     except ValueError:
         return None
 
@@ -138,7 +137,6 @@ def ingest(
     records whose single-letter feature class is in the set.
     """
     entries: dict[int, GazetteerEntry] = {}
-    name_map: dict = {}
     summary = IngestSummary()
 
     for line_no, line in enumerate(lines, start=1):
@@ -157,16 +155,8 @@ def ingest(
             log.warning("gazetteer: skipping duplicate id %d (line %d)", entry.id, line_no)
             continue
         entries[entry.id] = entry
-        for name in {entry.canonical_name, *entry.alternate_names}:
-            name_map.setdefault(name.casefold(), []).append(entry)
         summary.ingested += 1
-
-    # Ranked in place, so each list is freed as its tuple is made.
-    for name, found in name_map.items():
-        found.sort(key=lambda e: (-e.population, e.id))
-        name_map[name] = tuple(found)
-    classes = frozenset(feature_classes) if feature_classes is not None else None
-    return GazetteerIndex(entries, name_map, version, summary, classes)
+    return GazetteerIndex(entries.values(), version, summary, feature_classes)
 
 
 def dump_checksum(path: str) -> str:
@@ -182,54 +172,55 @@ def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> Gazett
     """Ingest a dump file; the index version records the dump checksum."""
     try:
         version = dump_checksum(path)
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return ingest(fh, feature_classes=feature_classes, version=version)
     except (OSError, UnicodeDecodeError) as exc:
         raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc
 
 
 def save_cache(index: GazetteerIndex, path: str) -> None:
+    """Write the index as builtin rows, in rank order, so one dump gives one file."""
+    classes = tuple(sorted(index.feature_classes)) if index.feature_classes is not None else None
+    rows = [
+        (e.id, e.canonical_name, tuple(sorted(e.alternate_names)), e.coord.lat, e.coord.lon,
+         e.population, e.feature_class, e.feature_code, e.country_code)
+        for e in index.entries()
+    ]
+    payload = (CACHE_FORMAT_VERSION, index.version, classes, astuple(index.summary), rows)
     with open(path, "wb") as fh:
-        pickle.dump(index, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class _CacheUnpickler(pickle.Unpickler):
-    """Loads only the classes a cache holds, so a hostile cache cannot run code."""
+    """Admits no global at all: a cache is builtin rows, so it cannot run code."""
 
     # As small as a plain Unpickler: on CPython 3.11 a larger instance gave
     # 2.5 MB more peak RSS when loading a cache right after an ingest.
     __slots__ = ()
-    ALLOWED = {
-        ("geoeval.gazetteer", "GazetteerIndex"),
-        ("geoeval.gazetteer", "GazetteerEntry"),
-        ("geoeval.gazetteer", "IngestSummary"),
-        ("geoeval.geodesy", "Coordinate"),
-    }
 
     def find_class(self, module, name):
-        if (module, name) not in self.ALLOWED:
-            raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
-        return super().find_class(module, name)
+        raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
 
 
 def load_cache(path: str) -> GazetteerIndex:
-    """The cached index; GazetteerError when the file is unusable."""
+    """The cached index, every row validated; GazetteerError when the file is unusable."""
     try:
         with open(path, "rb") as fh:
-            index = _CacheUnpickler(fh).load()
-    # The admitted classes raise the last three when called with bad arguments.
-    except (OSError, pickle.UnpicklingError, EOFError, TypeError, ValueError, AttributeError) as exc:
-        raise GazetteerError(f"cannot read gazetteer cache {path}: {exc}") from exc
-    if (
-        not isinstance(index, GazetteerIndex)
-        or vars(index).keys() != _INDEX_ATTRIBUTES
-        or index.format_version != CACHE_FORMAT_VERSION
-    ):
+            fmt, checksum, classes, counts, rows = _CacheUnpickler(fh).load()
+        if fmt != CACHE_FORMAT_VERSION or type(checksum) is not str or [type(n) for n in counts] != [int] * 3:
+            raise ValueError(f"not a format {CACHE_FORMAT_VERSION} cache")
+        entries = [
+            GazetteerEntry(eid, name, frozenset(alts), Coordinate(lat, lon), pop, fclass, fcode, country)
+            for eid, name, alts, lat, lon, pop, fclass, fcode, country in rows
+        ]
+        del rows  # freed before the index is built
+        return GazetteerIndex(entries, checksum, IngestSummary(*counts), classes)
+    # A crafted length field gives OverflowError or MemoryError before anything is read.
+    except (OSError, pickle.UnpicklingError, EOFError, TypeError, ValueError, AttributeError,
+            OverflowError, MemoryError) as exc:
         raise GazetteerError(
-            f"gazetteer cache {path} is not a format {CACHE_FORMAT_VERSION} index; "
-            "rerun `geoeval ingest` to rebuild it"
-        )
-    return index
+            f"cannot use gazetteer cache {path} ({exc}); rerun `geoeval ingest` to rebuild it"
+        ) from exc
 
 
 def load_or_ingest(

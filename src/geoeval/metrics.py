@@ -349,6 +349,13 @@ def evaluate(
     warnings: list[str] = []
     geocoding = thresholds_km is not None
     gold = _select_gold(docs, index, geocoding, warnings)
+    # A prediction for a document outside the gold set can only be a false positive.
+    doc_ids = {doc.doc_id for doc in docs}
+    systems = [("", pred)] if pred_b is None else [("pred: ", pred), ("pred-b: ", pred_b)]
+    for prefix, records in systems:
+        unknown = sum(1 for r in records if r.doc_id not in doc_ids)
+        if unknown:
+            warnings.append(f"{prefix}{unknown} predictions name documents not in the gold set")
     match = match_spans(gold, pred, mode)
     report = EvalReport(
         dataset_id=dataset_id,

@@ -60,7 +60,7 @@ def load_lexicon(lines: Iterable[str]) -> dict[str, str]:
 
 
 def load_lexicon_path(path: str) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return load_lexicon(fh)
 
 

@@ -350,6 +350,45 @@ def test_baseline_refuses_a_surface_with_a_tab(tmp_path, capsys):
     assert not pred.exists()
 
 
+def test_baseline_refuses_a_document_id_with_a_tab(tmp_path, capsys):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    write_brat_doc(gold, "a\tb", "Paris rose.", "T1\tLiteral 0 5\tParis\nN1\tReference T1 Geonames:1004\tParis\n")
+    _, cache = build_cache(tmp_path)
+    pred = tmp_path / "oracle.pred"
+    assert main(["baseline", "--gold", str(gold), "--cache", str(cache), "--oracle-ner", "--out", str(pred)]) == 1
+    assert "document id 'a\\tb' contains a tab" in capsys.readouterr().err
+    assert not pred.exists()
+
+
+def test_prediction_file_with_a_bom_scores_as_without(tmp_path):
+    gold = build_corpus(tmp_path)
+    record = "doc1\t0\t5\tParis\tLocation\t48.8566\t2.3522\n"
+    reports = []
+    for name, data in (("plain", record.encode("utf-8")), ("bom", b"\xef\xbb\xbf" + record.encode("utf-8"))):
+        pred = tmp_path / f"{name}.pred"
+        pred.write_bytes(data)
+        report = tmp_path / f"{name}.report"
+        assert main(["eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(report)]) == 0
+        reports.append(report.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    assert "tp: 1\nfp: 0\n" in reports[1]
+
+
+def test_blocklist_with_a_bom_blocks_its_first_word(tmp_path):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    text = "Paris and London met."
+    write_brat_doc(gold, "doc1", text, _ann_for(text, "Paris", "Literal", "Geonames:1004"))
+    _, cache = build_cache(tmp_path)
+    blocklist = tmp_path / "block.txt"
+    blocklist.write_bytes("\ufeffParis\nsummit\n".encode("utf-8"))
+    pred = tmp_path / "dict.pred"
+    assert main(["baseline", "--gold", str(gold), "--cache", str(cache), "--dictionary-ner",
+                 "--blocklist", str(blocklist), "--out", str(pred)]) == 0
+    assert [line.split("\t")[3] for line in pred.read_text(encoding="utf-8").splitlines()] == ["London"]
+
+
 def test_csv_row_appended(tmp_path):
     gold = build_corpus(tmp_path)
     pred = tmp_path / "p.pred"

@@ -345,6 +345,14 @@ def test_load_directory_bom_counted_in_offsets(tmp_path):
         load_directory(str(tmp_path))
 
 
+def test_load_directory_drops_the_bom_of_an_ann(tmp_path):
+    # The .ann holds no offsets into itself, so its BOM is not a character.
+    (tmp_path / "doc.txt").write_text("Paris flooded.", encoding="utf-8")
+    (tmp_path / "doc.ann").write_bytes("\ufeffT1\tLiteral 0 5\tParis\n".encode("utf-8"))
+    (doc,) = load_directory(str(tmp_path))
+    assert [(a.start, a.surface) for a in doc.annotations] == [(0, "Paris")]
+
+
 def test_ten_document_roundtrip(tmp_path):
     for i in range(10):
         text = f"Doc {i}: Russian planes left Paris id{i}."

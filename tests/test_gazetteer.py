@@ -2,6 +2,7 @@ import gc
 import os
 import pickle
 import random
+import tempfile
 import weakref
 
 import pytest
@@ -191,86 +192,124 @@ def test_cache_rejects_bad_format(tmp_path):
         load_cache(str(cache))
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        ["not", "a", "dict"],
-        {"format_version": gazetteer.CACHE_FORMAT_VERSION + 1, "index": None},
-        {"format_version": gazetteer.CACHE_FORMAT_VERSION},
-        {"format_version": gazetteer.CACHE_FORMAT_VERSION, "index": {"melbourne": [1001]}},
-        # Admitted classes called with bad arguments: TypeError, ValueError, AttributeError.
-        b"cgeoeval.geodesy\nCoordinate\n(I1\ntR.",
-        b"cgeoeval.geodesy\nCoordinate\n(I999\nI0\ntR.",
-        b"\x80\x04cgeoeval.gazetteer\nGazetteerEntry\n)\x81N}X\x02\x00\x00\x00id\x94K\x01sb.",
-    ],
-    ids=["not-a-dict", "wrong-version", "missing-index", "index-not-an-index",
-         "bad-arguments-type", "bad-arguments-value", "bad-state"],
-)
-def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
-    cache = tmp_path / "shape.cache"
-    cache.write_bytes(payload if isinstance(payload, bytes) else pickle.dumps(payload))
-    with pytest.raises(GazetteerError):
+def _toy_payload(tmp_path):
+    """The dump file and the rows payload save_cache writes for it."""
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    cache = tmp_path / "toy.cache"
+    save_cache(ingest_path(str(dump)), str(cache))
+    return dump, pickle.loads(cache.read_bytes())
+
+
+def _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump=None):
+    """load_cache refuses `cache`, align exits 1 naming it, load_or_ingest rebuilds it."""
+    with pytest.raises(GazetteerError, match="rerun `geoeval ingest`"):
         load_cache(str(cache))
 
     # The CLI reports it as an input error, not a traceback.
     pred = tmp_path / "p.pred"
     pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8\t2.3\n", encoding="utf-8")
     assert cli.main(["align", "--pred", str(pred), "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
-    assert "Traceback" not in capsys.readouterr().err
-
-    # load_or_ingest rebuilds such a cache from the dump.
-    dump = tmp_path / "dump.tsv"
-    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
-    index, hit = load_or_ingest(str(dump), str(cache))
-    assert hit is False and len(index) == len(TOY_DUMP_LINES)
-    assert load_cache(str(cache)).version == index.version
-
-
-def _set_format_version(index, version):
-    if version is None:
-        del index.format_version  # as written before the index carried one
-    else:
-        index.format_version = version
-    return index
-
-
-def _without(index, name):
-    delattr(index, name)
-    return index
-
-
-@pytest.mark.parametrize(
-    "wrap",
-    [
-        lambda index: _set_format_version(index, gazetteer.CACHE_FORMAT_VERSION - 1),
-        lambda index: _set_format_version(index, gazetteer.CACHE_FORMAT_VERSION + 1),
-        lambda index: _set_format_version(index, None),
-        # The format-1 layout: the index inside a dict that repeats its checksum.
-        lambda index: {"format_version": 1, "checksum": index.version, "feature_classes": None, "index": index},
-        # A format-2 index that lacks an attribute `ingest` gives it.
-        lambda index: _without(index, "version"),
-        lambda index: _without(index, "_name_map"),
-    ],
-    ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map"],
-)
-def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, wrap):
-    dump = tmp_path / "dump.tsv"
-    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
-    cache = tmp_path / "old.cache"
-    # Same dump and filter: only `wrap` makes the cache unusable.
-    cache.write_bytes(pickle.dumps(wrap(ingest_path(str(dump)))))
-    with pytest.raises(GazetteerError, match="rerun `geoeval ingest`"):
-        load_cache(str(cache))
-
-    pred = tmp_path / "p.pred"
-    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8\t2.3\n", encoding="utf-8")
-    assert cli.main(["align", "--pred", str(pred), "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert str(cache) in err and "ingest" in err and "Traceback" not in err
 
+    if dump is None:
+        dump = tmp_path / "dump.tsv"
+        dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
     index, hit = load_or_ingest(str(dump), str(cache))
-    assert hit is False
-    assert load_cache(str(cache)).format_version == gazetteer.CACHE_FORMAT_VERSION
+    assert hit is False and len(index) == len(TOY_DUMP_LINES)
+    assert pickle.loads(cache.read_bytes())[0] == gazetteer.CACHE_FORMAT_VERSION
+    assert load_cache(str(cache)).version == index.version
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        ["not", "a", "dict"],
+        (gazetteer.CACHE_FORMAT_VERSION + 1, "sha256:0", None, (0, 0, 0), []),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0, 0)),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0, 0), {"melbourne": [1001]}),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, ("lots", [], None), []),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0), []),
+        # Pickles that call a geoeval class, as caches of format 2 could.
+        b"cgeoeval.geodesy\nCoordinate\n(I1\ntR.",
+        b"cgeoeval.geodesy\nCoordinate\n(I999\nI0\ntR.",
+        b"\x80\x04cgeoeval.gazetteer\nGazetteerEntry\n)\x81N}X\x02\x00\x00\x00id\x94K\x01sb.",
+    ],
+    ids=["not-a-dict", "wrong-version", "missing-index", "index-not-an-index",
+         "counts-not-integers", "two-counts", "bad-arguments-type", "bad-arguments-value", "bad-state"],
+)
+def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
+    cache = tmp_path / "shape.cache"
+    cache.write_bytes(payload if isinstance(payload, bytes) else pickle.dumps(payload))
+    _assert_refused_and_rebuilt(tmp_path, capsys, cache)
+
+
+def _as_format_2(index, **attributes):
+    """The pickled index as format 2 wrote it, with `attributes` set on it."""
+    index.format_version = 2
+    for name, value in attributes.items():
+        setattr(index, name, value)
+    return pickle.dumps(index)
+
+
+def _payload_with(payload, position, value):
+    fields = list(payload)
+    if value is None:
+        del fields[position]
+    else:
+        fields[position] = value
+    return pickle.dumps(tuple(fields))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda index, payload: _as_format_2(index),
+        lambda index, payload: _payload_with(payload, 0, gazetteer.CACHE_FORMAT_VERSION + 1),
+        lambda index, payload: _payload_with(payload, 0, None),
+        # The format-1 layout: the index inside a dict that repeats its checksum.
+        lambda index, payload: pickle.dumps(
+            {"format_version": 1, "checksum": index.version, "feature_classes": None, "index": index}
+        ),
+        lambda index, payload: _payload_with(payload, 1, 0),
+        # A format-2 index whose name map is a list loaded, then failed in lookup.
+        lambda index, payload: _as_format_2(index, _name_map=[]),
+    ],
+    ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map"],
+)
+def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, make):
+    # Same dump and filter: only `make` makes the cache unusable.
+    dump, payload = _toy_payload(tmp_path)
+    cache = tmp_path / "old.cache"
+    cache.write_bytes(make(ingest_path(str(dump)), payload))
+    _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump)
+
+
+def _with_row_field(rows, field, value):
+    first = list(rows[0])
+    first[field] = value
+    return [tuple(first)] + rows[1:]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rows: _with_row_field(rows, 3, 999.0),
+        lambda rows: _with_row_field(rows, 5, "4000000"),
+        lambda rows: rows[:1] + rows,
+        lambda rows: [rows[0][:8]] + rows[1:],
+        lambda rows: _with_row_field(rows, 1, 1001),
+        lambda rows: _with_row_field(rows, 2, (None,)),
+    ],
+    ids=["latitude-999", "string-population", "duplicate-id", "eight-fields",
+         "name-not-a-string", "alternate-not-a-string"],
+)
+def test_cache_with_a_bad_row_is_refused_and_rebuilt(tmp_path, capsys, make):
+    dump, (fmt, checksum, classes, counts, rows) = _toy_payload(tmp_path)
+    cache = tmp_path / "rows.cache"
+    cache.write_bytes(pickle.dumps((fmt, checksum, classes, counts, make(rows))))
+    _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump)
 
 
 def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
@@ -282,6 +321,28 @@ def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
     pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8\t2.3\n", encoding="utf-8")
     assert cli.main(["align", "--pred", str(pred), "--cache", str(cache), "--out", str(tmp_path / "o")]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda path: pickle.dumps(
+            (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0, 0), [_RemoveOnLoad(path)])
+        ),
+        # Builtins count as globals too.
+        lambda path: pickle.dumps((gazetteer.CACHE_FORMAT_VERSION, len, None, (0, 0, 0), [])),
+    ],
+    ids=["foreign-function", "builtin"],
+)
+def test_cache_naming_any_global_is_refused_and_rebuilt(tmp_path, capsys, make):
+    target = tmp_path / "keep.txt"
+    target.write_text("still here", encoding="utf-8")
+    cache = tmp_path / "global.cache"
+    cache.write_bytes(make(str(target)))
+    with pytest.raises(GazetteerError, match="not allowed"):
+        load_cache(str(cache))
+    _assert_refused_and_rebuilt(tmp_path, capsys, cache)
+    assert target.read_text(encoding="utf-8") == "still here"
 
 
 class _RemoveOnLoad:
@@ -301,6 +362,20 @@ def test_cache_calling_a_foreign_function_runs_nothing(tmp_path):
     with pytest.raises(GazetteerError, match="not allowed"):
         load_cache(str(cache))
     assert target.read_text(encoding="utf-8") == "still here"
+
+
+def test_cache_bytes_depend_only_on_the_dump(tmp_path):
+    dump = tmp_path / "dump.tsv"
+    # Dump order differs from rank order, and one entry has two alternates.
+    lines = list(reversed(TOY_DUMP_LINES)) + [
+        geonames_line(1020, "Twotown", 1.0, 1.0, alternates="Zeta,Alpha")
+    ]
+    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    first, second, resaved = tmp_path / "a.cache", tmp_path / "b.cache", tmp_path / "c.cache"
+    save_cache(ingest_path(str(dump)), str(first))
+    save_cache(ingest_path(str(dump)), str(second))
+    save_cache(load_cache(str(first)), str(resaved))
+    assert first.read_bytes() == second.read_bytes() == resaved.read_bytes()
 
 
 def test_load_or_ingest_cache_hit(tmp_path):
@@ -364,6 +439,15 @@ def test_index_records_its_filter(tmp_path):
     assert load_or_ingest(str(dump), str(cache))[0].feature_classes is None
 
 
+def test_dump_with_a_bom_ingests_its_first_row(tmp_path):
+    dump = tmp_path / "dump.tsv"
+    dump.write_bytes(b"\xef\xbb\xbf" + ("\n".join(TOY_DUMP_LINES) + "\n").encode("utf-8"))
+    index = ingest_path(str(dump))
+    assert (index.summary.ingested, index.summary.skipped) == (len(TOY_DUMP_LINES), 0)
+    assert [e.id for e in index.lookup("melbourne")] == [1001, 1002]
+    assert index.version == dump_checksum(str(dump))  # the checksum still covers the raw bytes
+
+
 def test_ingest_path_unreadable(tmp_path):
     with pytest.raises(GazetteerError):
         ingest_path(str(tmp_path / "missing.tsv"))
@@ -420,3 +504,45 @@ def test_nearest_entry_minimizes_distance(fixture, query, lat, lon):
         d_best = great_circle_distance(best.coord, coord)
         for cand in candidates:
             assert d_best <= great_circle_distance(cand.coord, coord)
+
+
+malformed_lines = st.sampled_from([
+    "not\ta\tvalid\tline",
+    "\t".join(["x"] * 19),  # non-integer id
+    geonames_line(5, "Badcoord", 95.0, 2.0),  # latitude out of range
+    geonames_line(6, "Negative", 1.0, 2.0, population=-3),
+])
+dump_lines = st.lists(
+    st.one_of(
+        st.builds(
+            lambda entry_id, name, pop, fclass, alternates: geonames_line(
+                entry_id, name, 1.0 + entry_id, -2.0 - entry_id, feature_class=fclass,
+                population=pop, alternates=",".join(alternates),
+            ),
+            st.integers(min_value=1, max_value=12),  # few ids, so duplicates are common
+            names,
+            st.integers(min_value=0, max_value=3),  # few populations, so ties are common
+            st.sampled_from("PAS"),
+            st.lists(st.sampled_from(["alpha", "ÄLPHA", "Straße", "strasse", "Gamma"]), max_size=3),
+        ),
+        malformed_lines,
+    ),
+    max_size=30,
+)
+
+
+@given(lines=dump_lines, classes=st.one_of(st.none(), st.sets(st.sampled_from("PAS"))))
+@settings(max_examples=150, deadline=None)
+def test_load_cache_after_save_cache_gives_back_the_ingested_index(lines, classes):
+    index = ingest(lines, feature_classes=classes, version="sha256:test")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.cache")
+        save_cache(index, path)
+        loaded = load_cache(path)
+    assert len(loaded) == len(index)
+    assert (loaded.version, loaded.feature_classes) == (index.version, index.feature_classes)
+    assert vars(loaded.summary) == vars(index.summary)
+    assert list(loaded.entries()) == list(index.entries())
+    all_names = {n for e in index.entries() for n in (e.canonical_name, *e.alternate_names)}
+    for name in all_names | {"atlantis"}:
+        assert [e.id for e in loaded.lookup(name)] == [e.id for e in index.lookup(name)]

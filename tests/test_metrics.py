@@ -399,3 +399,22 @@ def test_evaluate_geocoding_warnings_and_wilcoxon():
         "1 matched toponyms had no predicted coordinates",
         "no resolved true positives; geocoding metrics undefined",
     ]
+
+
+def test_evaluate_warns_of_predictions_for_unknown_documents():
+    known = [_pred("d", 0, 6)]
+    ghosts = [_pred("ghost", 0, 6), _pred("d.txt", 8, 13)]
+    report = evaluate(_docs_for_evaluate(), known + ghosts, "toy")
+    assert report.tagging.counts == TaggingCounts(tp=1, fp=2, fn=2)
+    assert report.warnings == ["2 predictions name documents not in the gold set"]
+    assert evaluate(_docs_for_evaluate(), known, "toy").warnings == []
+
+    # With a second system, each system's count is named by its flag.
+    report = evaluate(_docs_for_evaluate(), known, "toy", thresholds_km=(161.0,), pred_b=ghosts[:1])
+    assert "pred-b: 1 predictions name documents not in the gold set" in report.warnings
+    assert not any(w.startswith("pred: ") for w in report.warnings)
+    report = evaluate(_docs_for_evaluate(), ghosts, "toy", pred_b=ghosts[:1])
+    assert report.warnings[:2] == [
+        "pred: 2 predictions name documents not in the gold set",
+        "pred-b: 1 predictions name documents not in the gold set",
+    ]

@@ -10,6 +10,7 @@ from geoeval.geodesy import Coordinate, great_circle_distance
 from geoeval.resolver import (
     align_to_gazetteer,
     load_lexicon,
+    load_lexicon_path,
     resolve_population,
 )
 
@@ -71,6 +72,14 @@ def test_lexicon_normalizes_adjectival_surfaces(toy_index):
 def test_lexicon_skips_malformed_lines():
     lexicon = load_lexicon(io.StringIO("good\tGood Town\nbadline\nalso\t\t bad\n"))
     assert lexicon == {"good": "Good Town"}
+
+
+def test_lexicon_file_with_a_bom_normalizes_its_first_line(tmp_path, toy_index):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes("\ufeffRussian\tRussia\n".encode("utf-8"))
+    lexicon = load_lexicon_path(str(path))
+    assert lexicon == {"russian": "Russia"}
+    assert resolve_population([_rec("Russian")], toy_index, lexicon=lexicon).n_resolved == 1
 
 
 def test_align_snaps_to_nearest_candidate(toy_index):

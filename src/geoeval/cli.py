@@ -141,7 +141,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     naming another subcommand's flag is skipped.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc

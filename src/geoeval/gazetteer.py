@@ -8,9 +8,12 @@ checksum, so repeated evaluations skip re-parsing the dump.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import logging
+import math
 import pickle
+from array import array
 from dataclasses import astuple, dataclass
 from typing import Iterable, Optional
 
@@ -84,6 +87,9 @@ class GazetteerIndex:
         self.version = version
         self.summary = summary
         self.feature_classes = frozenset(feature_classes) if feature_classes is not None else None
+        # Case-folded name -> x, y, z columns of its candidates' unit vectors,
+        # aligned with lookup(name); filled by nearest_entry on first use.
+        self._unit_vectors: dict[str, tuple[array, array, array]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -204,6 +210,10 @@ class _CacheUnpickler(pickle.Unpickler):
 
 def load_cache(path: str) -> GazetteerIndex:
     """The cached index, every row validated; GazetteerError when the file is unusable."""
+    # The rows, entries and coordinates are acyclic, so a collection while
+    # they are allocated would free nothing: pause the cyclic collector.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "rb") as fh:
             fmt, checksum, classes, counts, rows = _CacheUnpickler(fh).load()
@@ -221,6 +231,9 @@ def load_cache(path: str) -> GazetteerIndex:
         raise GazetteerError(
             f"cannot use gazetteer cache {path} ({exc}); rerun `geoeval ingest` to rebuild it"
         ) from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_or_ingest(
@@ -246,9 +259,40 @@ def load_or_ingest(
     return index, False
 
 
+def _unit_vector(coord: Coordinate) -> tuple[float, float, float]:
+    lat, lon = math.radians(coord.lat), math.radians(coord.lon)
+    cos_lat = math.cos(lat)
+    return cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)
+
+
+# How far below the largest dot product a candidate may fall and still be
+# measured by haversine. The dot product of two unit vectors is
+# cos(d/R) = 1 - 2h, where h is the haversine term that
+# great_circle_distance turns into a distance through the nondecreasing
+# 2R*asin(sqrt(h)); so both rank candidates alike, and each is computed to
+# within a few 1e-16 of 1 - 2h. The candidate with the smallest computed
+# distance, and any tied with it, thus has a computed dot product within
+# about 1e-15 of the largest: far inside this absolute margin.
+_NEAR_DOT = 1e-9
+
+
 def nearest_entry(index: GazetteerIndex, name: str, coord: Coordinate) -> Optional[GazetteerEntry]:
-    """The same-name candidate closest to `coord`; ties break to lower id."""
+    """The same-name candidate closest to `coord` by haversine distance; ties break to lower id.
+
+    The dot product of unit vectors only pre-selects: the candidates within
+    _NEAR_DOT of the largest one are measured by great_circle_distance, so
+    the answer is the haversine minimum over all candidates.
+    """
     candidates = index.lookup(name)
     if not candidates:
         return None
-    return min(candidates, key=lambda e: (great_circle_distance(e.coord, coord), e.id))
+    key = name.casefold()
+    columns = index._unit_vectors.get(key)
+    if columns is None:
+        columns = tuple(array("d", axis) for axis in zip(*(_unit_vector(e.coord) for e in candidates)))
+        index._unit_vectors[key] = columns
+    qx, qy, qz = _unit_vector(coord)
+    dots = [qx * x + qy * y + qz * z for x, y, z in zip(*columns)]
+    cutoff = max(dots) - _NEAR_DOT
+    near = [e for e, dot in zip(candidates, dots) if dot >= cutoff]
+    return min(near, key=lambda e: (great_circle_distance(e.coord, coord), e.id))

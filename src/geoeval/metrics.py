@@ -74,11 +74,12 @@ def match_spans(
 ) -> SpanMatchResult:
     """Greedily match gold spans to predictions within each document.
 
-    Gold spans are visited left to right; each takes the unmatched
-    prediction with the largest overlap (exact mode requires identical
-    offsets). Every gold span matches at most one prediction and vice
-    versa. Unmatched predictions are false positives, unmatched gold
-    spans false negatives.
+    Gold spans are visited in (start, end) order; each takes the unmatched
+    prediction with the largest overlap, the earliest in (start, end) order
+    (then input order) on a tie. Exact mode requires identical offsets.
+    Every gold span matches at most one prediction and vice versa.
+    Unmatched predictions are false positives, unmatched gold spans false
+    negatives. Pairs come out document by document, in gold visiting order.
     """
     pred_by_doc: dict[str, list[PredictionRecord]] = defaultdict(list)
     for rec in pred:
@@ -87,35 +88,59 @@ def match_spans(
     for doc_id, ann in gold:
         gold_by_doc[doc_id].append((doc_id, ann))
 
+    match_document = _match_exact if mode is MatchMode.EXACT else _match_overlap
     pairs: list[MatchedPair] = []
     for doc_id, gold_here in gold_by_doc.items():
-        candidates = sorted(pred_by_doc.get(doc_id, []), key=lambda r: (r.start, r.end))
-        used = [False] * len(candidates)
-        for gold_span in sorted(gold_here, key=lambda g: (g[1].start, g[1].end)):
-            ann = gold_span[1]
-            best_j = -1
-            best_overlap = 0
-            for j, rec in enumerate(candidates):
-                if used[j]:
-                    continue
-                if mode is MatchMode.EXACT:
-                    if rec.start == ann.start and rec.end == ann.end:
-                        overlap = ann.end - ann.start
-                    else:
-                        continue
-                else:
-                    overlap = min(ann.end, rec.end) - max(ann.start, rec.start)
-                    if overlap <= 0:
-                        continue
-                if overlap > best_overlap:
-                    best_j, best_overlap = j, overlap
-            if best_j >= 0:
-                used[best_j] = True
-                pairs.append((gold_span, candidates[best_j]))
+        gold_here.sort(key=lambda g: (g[1].start, g[1].end))
+        pairs.extend(match_document(gold_here, pred_by_doc.get(doc_id, [])))
 
     tp = len(pairs)
     counts = TaggingCounts(tp=tp, fp=len(pred) - tp, fn=len(gold) - tp)
     return SpanMatchResult(counts=counts, pairs=pairs)
+
+
+def _match_exact(gold: list[GoldSpan], pred: list[PredictionRecord]) -> Iterable[MatchedPair]:
+    """Join on offsets: each gold span takes the first prediction left at its (start, end).
+
+    Both record types refuse start >= end, so equal offsets always overlap.
+    """
+    waiting: dict[tuple[int, int], list[PredictionRecord]] = defaultdict(list)
+    for rec in reversed(pred):  # so that pop() hands them out in input order
+        waiting[rec.span].append(rec)
+    for gold_span in gold:
+        left = waiting.get(gold_span[1].span)
+        if left:
+            yield gold_span, left.pop()
+
+
+def _match_overlap(gold: list[GoldSpan], pred: list[PredictionRecord]) -> Iterable[MatchedPair]:
+    """Sweep the gold spans, in order, over the predictions sorted by (start, end).
+
+    `active` holds, in sorted order, the unmatched predictions that start
+    before the end of some gold span visited so far. A prediction that ends
+    at or before a gold start overlaps no later gold span either (gold
+    starts never decrease), so it leaves for good.
+    """
+    ordered = sorted(pred, key=lambda r: (r.start, r.end))
+    active: list[PredictionRecord] = []
+    admitted = 0
+    for gold_span in gold:
+        ann = gold_span[1]
+        while admitted < len(ordered) and ordered[admitted].start < ann.end:
+            active.append(ordered[admitted])
+            admitted += 1
+        kept: list[PredictionRecord] = []
+        best_i, best_overlap = -1, 0
+        for rec in active:
+            if rec.end <= ann.start:
+                continue
+            overlap = min(ann.end, rec.end) - max(ann.start, rec.start)
+            if overlap > best_overlap:
+                best_i, best_overlap = len(kept), overlap
+            kept.append(rec)
+        if best_i >= 0:
+            yield gold_span, kept.pop(best_i)
+        active = kept
 
 
 @dataclass(frozen=True)

@@ -453,6 +453,15 @@ def test_config_file_supplies_defaults(tmp_path):
     assert plan["k"] == 3 and plan["seed"] == 21
 
 
+def test_config_file_with_a_bom_supplies_defaults(tmp_path):
+    gold = build_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"k": 3}).encode("utf-8"))
+    plan_path = tmp_path / "plan.json"
+    assert main(["--config", str(config), "folds", "--gold", str(gold), "--out", str(plan_path)]) == 0
+    assert json.loads(plan_path.read_text(encoding="utf-8"))["k"] == 3
+
+
 @pytest.mark.parametrize("value", [3, "3"], ids=["int", "string"])
 def test_config_value_coerced_through_flag_type(tmp_path, value):
     gold = build_corpus(tmp_path)

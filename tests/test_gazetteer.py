@@ -374,8 +374,31 @@ def test_cache_bytes_depend_only_on_the_dump(tmp_path):
     first, second, resaved = tmp_path / "a.cache", tmp_path / "b.cache", tmp_path / "c.cache"
     save_cache(ingest_path(str(dump)), str(first))
     save_cache(ingest_path(str(dump)), str(second))
-    save_cache(load_cache(str(first)), str(resaved))
+    loaded = load_cache(str(first))
+    assert nearest_entry(loaded, "Zeta", Coordinate(0.0, 0.0)).id == 1020  # fills the unit-vector memo
+    save_cache(loaded, str(resaved))
     assert first.read_bytes() == second.read_bytes() == resaved.read_bytes()
+
+
+@pytest.mark.parametrize("good", [True, False], ids=["good-cache", "refused-cache"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_load_cache_leaves_the_collector_as_it_found_it(tmp_path, toy_index, good, collecting):
+    cache = tmp_path / "toy.cache"
+    if good:
+        save_cache(toy_index, str(cache))
+    else:
+        cache.write_bytes(b"not a pickle")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        if good:
+            load_cache(str(cache))
+        else:
+            with pytest.raises(GazetteerError):
+                load_cache(str(cache))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_load_or_ingest_cache_hit(tmp_path):
@@ -485,6 +508,11 @@ def test_lookup_matches_brute_force(fixture, query):
     assert [e.id for e in index.lookup(query)] == brute
 
 
+def _nearest_oracle(candidates, coord):
+    """The haversine minimum over every candidate, ties to the lower id."""
+    return min(candidates, key=lambda e: (great_circle_distance(e.coord, coord), e.id))
+
+
 @given(
     fixture=entries_strategy,
     query=names,
@@ -504,6 +532,43 @@ def test_nearest_entry_minimizes_distance(fixture, query, lat, lon):
         d_best = great_circle_distance(best.coord, coord)
         for cand in candidates:
             assert d_best <= great_circle_distance(cand.coord, coord)
+        assert best.id == _nearest_oracle(candidates, coord).id
+
+
+@st.composite
+def _points_near_anchors(draw):
+    """A few anchor points, and a sampler of points equal to, within 1e-5° of, or antipodal to one."""
+    anchors = draw(st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)), min_size=1, max_size=4))
+
+    def point():
+        lat, lon = draw(st.sampled_from(anchors))
+        kind = draw(st.sampled_from(["same", "near", "antipode"]))
+        if kind == "near":
+            # At 1e-7° (about 1 cm) and below, rounding can order a dot product and a haversine apart.
+            scale = draw(st.sampled_from([1e-5, 1e-7, 1e-9, 1e-12]))
+            lat = min(90.0, max(-90.0, lat + scale * draw(st.floats(-1, 1))))
+            lon = min(180.0, max(-180.0, lon + scale * draw(st.floats(-1, 1))))
+        elif kind == "antipode":
+            lat, lon = -lat, (lon - 180.0 if lon > 0 else lon + 180.0)
+        return Coordinate(lat, lon)
+
+    return point
+
+
+@given(point=_points_near_anchors(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
+    coords = [point() for _ in range(data.draw(st.integers(1, 12)))]
+    # Ids are shuffled against coordinates, so the lower id is not also the first drawn.
+    ids = data.draw(st.permutations(range(1, len(coords) + 1)))
+    entries = [
+        gazetteer.GazetteerEntry(eid, "Alpha", frozenset(), coord, data.draw(st.integers(0, 2)), "P", "PPL", "US")
+        for eid, coord in zip(ids, coords)
+    ]
+    index = gazetteer.GazetteerIndex(entries, "v", gazetteer.IngestSummary(), None)
+    for _ in range(3):  # the first query fills the unit-vector memo, later ones read it
+        query = point()
+        assert nearest_entry(index, "ALPHA", query).id == _nearest_oracle(index.lookup("alpha"), query).id
 
 
 malformed_lines = st.sampled_from([

@@ -94,6 +94,77 @@ class TestMatchSpans:
         assert counts.n_predicted == len(pred)
         assert counts.n_gold == len(gold)
 
+    def test_exact_gold_spans_at_one_offset_take_predictions_in_input_order(self):
+        gold = [_gold("d", 0, 6), _gold("d", 0, 6), _gold("d", 0, 6)]
+        first, second = _pred("d", 0, 6, Coordinate(1, 1)), _pred("d", 0, 6, Coordinate(2, 2))
+        result = match_spans(gold, [first, second])
+        assert [rec for _, rec in result.pairs] == [first, second]
+        assert (result.counts.tp, result.counts.fp, result.counts.fn) == (2, 0, 1)
+
+    def test_exact_never_pairs_across_documents(self):
+        gold = [_gold("a", 0, 6), _gold("b", 0, 6), _gold("b", 8, 9)]
+        pred = [_pred("b", 0, 6), _pred("c", 0, 6), _pred("a", 8, 9), _pred("a", 0, 6)]
+        result = match_spans(gold, pred)
+        assert [(g[0], g[1].span, rec.doc_id, rec.span) for g, rec in result.pairs] == [
+            ("a", (0, 6), "a", (0, 6)), ("b", (0, 6), "b", (0, 6)),
+        ]
+
+
+def _oracle_match_pairs(gold, pred, mode):
+    """The quadratic greedy matcher: each gold span, in (start, end) order,
+    scans every prediction of its document for the largest overlap."""
+    pred_by_doc = {}
+    for rec in pred:
+        pred_by_doc.setdefault(rec.doc_id, []).append(rec)
+    gold_by_doc = {}
+    for doc_id, ann in gold:
+        gold_by_doc.setdefault(doc_id, []).append((doc_id, ann))
+    pairs = []
+    for doc_id, gold_here in gold_by_doc.items():
+        candidates = sorted(pred_by_doc.get(doc_id, []), key=lambda r: (r.start, r.end))
+        used = [False] * len(candidates)
+        for gold_span in sorted(gold_here, key=lambda g: (g[1].start, g[1].end)):
+            ann = gold_span[1]
+            best_j, best_overlap = -1, 0
+            for j, rec in enumerate(candidates):
+                if used[j]:
+                    continue
+                if mode is MatchMode.EXACT:
+                    if (rec.start, rec.end) != (ann.start, ann.end):
+                        continue
+                    overlap = ann.end - ann.start
+                else:
+                    overlap = min(ann.end, rec.end) - max(ann.start, rec.start)
+                    if overlap <= 0:
+                        continue
+                if overlap > best_overlap:
+                    best_j, best_overlap = j, overlap
+            if best_j >= 0:
+                used[best_j] = True
+                pairs.append((gold_span, candidates[best_j]))
+    return pairs
+
+
+# Few documents and offsets, so duplicate, nested and cross-document spans are common;
+# document "z" is never gold.
+_located_spans = st.lists(
+    st.tuples(st.sampled_from("abz"), st.integers(0, 30), st.integers(1, 12)), max_size=25
+)
+
+
+@given(gold_raw=_located_spans, pred_raw=_located_spans, repeat=st.integers(0, 6))
+@settings(max_examples=400)
+def test_match_spans_agrees_with_the_quadratic_matcher(gold_raw, pred_raw, repeat):
+    # Every record carries its position, so the pairs show which of two equal spans was taken.
+    gold = [
+        (doc, ToponymAnnotation(start=s, end=s + w, surface=f"g{i}", toponym_type=TaxonomyType.LITERAL))
+        for i, (doc, s, w) in enumerate(gold_raw) if doc != "z"
+    ]
+    pred_raw = pred_raw + pred_raw[:repeat]  # the same offsets again, in the same documents
+    pred = [PredictionRecord(doc_id=doc, start=s, end=s + w, surface=f"p{i}") for i, (doc, s, w) in enumerate(pred_raw)]
+    for mode in MatchMode:
+        assert match_spans(gold, pred, mode).pairs == _oracle_match_pairs(gold, pred, mode)
+
 
 spans_strategy = st.lists(
     st.tuples(st.integers(0, 40), st.integers(1, 8)), min_size=0, max_size=12

@@ -1,10 +1,11 @@
 """Golden-report test of the demo pipeline.
 
 Builds the demo dataset with scripts/make_demo_data.py, runs every step of
-scripts/run_demo_pipeline.py and compares the text reports and the paired
-significance-test stdout lines byte for byte with the files under
-tests/data/. A change to any metric, report line or test statistic on the
-demo data shows up here.
+scripts/run_demo_pipeline.py and compares the text reports, the paired
+significance-test stdout lines, the augmented sentences and the augment
+summary lines byte for byte with the files under tests/data/. A change to
+any metric, report line, test statistic or augmented sentence on the demo
+data shows up here.
 """
 
 import os
@@ -40,8 +41,9 @@ def test_demo_reports_match_golden_files(tmp_path):
     out = tmp_path / "demo" / "out"
     assert (out / "tagging.report").read_bytes() == _golden("demo_tagging.report")
     assert (out / "geocoding.report").read_bytes() == _golden("demo_geocoding.report")
-    stat_lines = b"".join(
-        line for line in stdout.splitlines(keepends=True)
-        if line.startswith((b"mcnemar:", b"wilcoxon:"))
-    )
+    assert (out / "augmented.conll").read_bytes() == _golden("demo_augmented.conll")
+    lines = stdout.splitlines(keepends=True)
+    stat_lines = b"".join(line for line in lines if line.startswith((b"mcnemar:", b"wilcoxon:")))
     assert stat_lines == _golden("demo_stat_lines.txt")
+    augment_lines = b"".join(line for line in lines if line.startswith((b"contexts:", b"heads:")))
+    assert augment_lines == _golden("demo_augment_lines.txt")

@@ -14,25 +14,15 @@ import random
 import re
 from typing import Iterable, Sequence, TextIO
 
-from .corpus import Document, ExpressionAnnotation, ExpressionKind, ExpressionRole
+from .corpus import Document, ExpressionAnnotation, ExpressionRole
 from .tagger import token_spans
-from .taxonomy import TopLevel, top_level
+from .taxonomy import ExpressionKind, TopLevel, top_level
 
 log = logging.getLogger(__name__)
 
 TaggedSentence = list[tuple[str, str]]
 
 OUTSIDE_TAG = "O"
-
-_KIND_TO_TOP_LEVEL = {
-    ExpressionKind.LITERAL: TopLevel.LITERAL,
-    ExpressionKind.ASSOCIATIVE: TopLevel.ASSOCIATIVE,
-}
-
-_KIND_TAG = {
-    ExpressionKind.LITERAL: "Literal",
-    ExpressionKind.ASSOCIATIVE: "Associative",
-}
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
@@ -80,9 +70,9 @@ def generate_augmented(
     """Synthesise tagged sentences by filling context slots.
 
     For every Context expression, up to max_per_source fillers are drawn
-    (seeded, per-context) from the same-kind Head surfaces plus the gold
-    toponyms of the matching top-level group. Toponym fills are tagged
-    B-/I-Literal or B-/I-Associative according to the context kind; head
+    (seeded, per-context) from the gold toponyms and Head surfaces of the
+    context's top-level group (`taxonomy.top_level`). Toponym fills are
+    tagged B-/I- plus the group's value, Literal or Associative; head
     fills produce all-O negative sentences. Sentence-initial fills are
     capitalised; no other morphological adjustment is attempted.
     """
@@ -90,23 +80,20 @@ def generate_augmented(
         raise ValueError("max_per_source must be >= 1")
     doc_map = {doc.doc_id: doc for doc in docs}
 
-    heads: dict[ExpressionKind, list[str]] = {k: [] for k in ExpressionKind}
+    heads: dict[TopLevel, list[str]] = {group: [] for group in TopLevel}
     for expr in expressions:
         if expr.role is ExpressionRole.HEAD:
-            heads[expr.kind].append(expr.surface)
-    toponyms: dict[ExpressionKind, list[str]] = {k: [] for k in ExpressionKind}
+            heads[top_level(expr.kind)].append(expr.surface)
+    toponyms: dict[TopLevel, list[str]] = {group: [] for group in TopLevel}
     for doc in docs:
         for ann in doc.annotations:
-            group = top_level(ann.toponym_type)
-            for kind, top in _KIND_TO_TOP_LEVEL.items():
-                if group is top:
-                    toponyms[kind].append(ann.surface)
+            toponyms[top_level(ann.toponym_type)].append(ann.surface)
 
-    pools: dict[ExpressionKind, list[tuple[str, bool]]] = {}
-    for kind in ExpressionKind:
-        pool = [(s, True) for s in dict.fromkeys(toponyms[kind])]
-        pool += [(s, False) for s in dict.fromkeys(heads[kind])]
-        pools[kind] = pool
+    pools: dict[TopLevel, list[tuple[str, bool]]] = {}
+    for group in TopLevel:
+        pool = [(s, True) for s in dict.fromkeys(toponyms[group])]
+        pool += [(s, False) for s in dict.fromkeys(heads[group])]
+        pools[group] = pool
 
     out: list[TaggedSentence] = []
     sentences: dict[str, list[tuple[int, int]]] = {}  # doc_id -> spans, split once per document
@@ -121,7 +108,8 @@ def generate_augmented(
                 "augment: context %d span does not match document text; skipping", ctx_index
             )
             continue
-        pool = pools[ctx.kind]
+        group = top_level(ctx.kind)
+        pool = pools[group]
         if not pool:
             continue
         if doc.doc_id not in sentences:
@@ -142,7 +130,7 @@ def generate_augmented(
             for tok_start, tok_end in token_spans(sentence):
                 token = sentence[tok_start:tok_end]
                 if is_toponym and tok_start < fill_end and tok_end > fill_start:
-                    tag = ("I-" if inside else "B-") + _KIND_TAG[ctx.kind]
+                    tag = ("I-" if inside else "B-") + group.value
                     inside = True
                 else:
                     tag = OUTSIDE_TAG

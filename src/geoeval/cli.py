@@ -209,9 +209,13 @@ def _write_report(report: metrics.EvalReport, out_path: str, csv_path: Optional[
     header = list(metrics.REPORT_CSV_COLUMNS)
     appending = bool(csv_path) and os.path.exists(csv_path) and os.path.getsize(csv_path) > 0
     if appending:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            if next(csv.reader(fh), None) != header:
-                raise InputError(f"CSV file {csv_path} has another header; append to a new file")
+        try:
+            with open(csv_path, newline="", encoding="utf-8") as fh:
+                found = next(csv.reader(fh), None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise InputError(f"cannot read CSV file {csv_path}: {exc}") from exc
+        if found != header:
+            raise InputError(f"CSV file {csv_path} has another header; append to a new file")
     rendered = metrics.render_report(report)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(rendered)

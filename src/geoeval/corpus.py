@@ -5,7 +5,8 @@ Three file formats live here:
 * BRAT standoff (.txt + .ann): T-lines carry toponym or expression spans,
   A-lines carry the modifier_type / non_locational attributes, N-lines
   carry gazetteer links ("Geonames:<id>") or explicit coordinates
-  ("Coordinates:<lat>,<lon>"). Offsets are Unicode code-point offsets.
+  ("Coordinates:<lat>,<lon>"). Offsets are Unicode code-point offsets. A
+  span takes one value per attribute and resource: a repeat must agree.
 * The prediction interchange format: one record per line, seven
   tab-separated fields (doc_id, start, end, surface, label, lat, lon),
   designed so external taggers/geocoders can append-stream it.
@@ -26,7 +27,7 @@ from typing import Iterable, Optional, TextIO
 
 from .gazetteer import GazetteerIndex
 from .geodesy import Coordinate
-from .taxonomy import NON_LOCATIONAL_TYPES, TaxonomyType
+from .taxonomy import NON_LOCATIONAL_TYPES, ExpressionKind, TaxonomyType
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +55,6 @@ class BratParseError(ValueError):
         self.reason = message
         where = f"{path}:{line_no}" if path is not None else f"line {line_no}"
         super().__init__(f"{where}: {message}" if line_no is not None else message)
-
-
-class ExpressionKind(Enum):
-    LITERAL = "LiteralExpression"
-    ASSOCIATIVE = "AssociativeExpression"
 
 
 class ExpressionRole(Enum):
@@ -221,45 +217,55 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
         else:
             raise BratParseError(f"unrecognised line: {line!r}", line_no)
 
+    set_on: dict[tuple[str, str], int] = {}  # (span id, record key) -> line that set it
+
+    def assign(tid: str, key: str, value, name: str, line_no: int) -> None:
+        """Set one value of a span; a second, different value is refused."""
+        record = spans[tid]
+        first = set_on.setdefault((tid, key), line_no)
+        if first != line_no and record[key] != value:
+            raise BratParseError(
+                f"{tid}: {name} {value!r} conflicts with {record[key]!r} from line {first}",
+                line_no,
+            )
+        record[key] = value
+
     for line_no, attr_name, tid, value in attr_lines:
         if tid not in spans:
             raise BratParseError(f"attribute references missing span {tid}", line_no)
-        record = spans[tid]
         if attr_name == MODIFIER_ATTRIBUTE:
             if value not in MODIFIER_VALUES:
                 raise BratParseError(
                     f"{MODIFIER_ATTRIBUTE} must be one of {MODIFIER_VALUES}, got {value!r}",
                     line_no,
                 )
-            record["modifier_type"] = value
+            assign(tid, "modifier_type", value, attr_name, line_no)
         elif attr_name == NON_LOCATIONAL_ATTRIBUTE:
-            if value is None or value == "True":
-                record["non_locational"] = True
-            elif value == "False":
-                record["non_locational"] = False
-            else:
+            if value not in (None, "True", "False"):
                 raise BratParseError(
                     f"{NON_LOCATIONAL_ATTRIBUTE} must be True or False, got {value!r}",
                     line_no,
                 )
+            assign(tid, "non_locational", value != "False", attr_name, line_no)
         else:
             log.debug("%s: ignoring unknown attribute %r (line %d)", doc_id, attr_name, line_no)
 
     for line_no, tid, resource, entry in norm_lines:
         if tid not in spans:
             raise BratParseError(f"normalization references missing span {tid}", line_no)
-        record = spans[tid]
         if resource == GAZETTEER_RESOURCE:
             try:
-                record["gazetteer_id"] = int(entry)
+                gazetteer_id = int(entry)
             except ValueError:
                 raise BratParseError(f"bad gazetteer id {entry!r}", line_no) from None
+            assign(tid, "gazetteer_id", gazetteer_id, resource, line_no)
         elif resource == COORDINATE_RESOURCE:
             try:
                 lat_s, lon_s = entry.split(",")
-                record["coord"] = Coordinate(float(lat_s), float(lon_s))
+                coord = Coordinate(float(lat_s), float(lon_s))
             except ValueError as exc:
                 raise BratParseError(f"bad coordinate value {entry!r}: {exc}", line_no) from None
+            assign(tid, "coord", coord, resource, line_no)
         else:
             log.debug("%s: ignoring normalization resource %r (line %d)", doc_id, resource, line_no)
 

@@ -374,13 +374,26 @@ def evaluate(
     warnings: list[str] = []
     geocoding = thresholds_km is not None
     gold = _select_gold(docs, index, geocoding, warnings)
-    # A prediction for a document outside the gold set can only be a false positive.
-    doc_ids = {doc.doc_id for doc in docs}
+    # A prediction for a document outside the gold set can only be a false
+    # positive; one whose offsets or surface contradict the text was made on
+    # other text, though its offsets still score.
+    texts = {doc.doc_id: doc.text for doc in docs}
     systems = [("", pred)] if pred_b is None else [("pred: ", pred), ("pred-b: ", pred_b)]
     for prefix, records in systems:
-        unknown = sum(1 for r in records if r.doc_id not in doc_ids)
+        unknown = contradicting = 0
+        for r in records:
+            text = texts.get(r.doc_id)
+            if text is None:
+                unknown += 1
+            elif r.end > len(text) or text[r.start : r.end] != r.surface:
+                contradicting += 1
         if unknown:
             warnings.append(f"{prefix}{unknown} predictions name documents not in the gold set")
+        if contradicting:
+            warnings.append(
+                f"{prefix}{contradicting} predictions run past their document's text "
+                "or differ from it in surface"
+            )
     match = match_spans(gold, pred, mode)
     report = EvalReport(
         dataset_id=dataset_id,

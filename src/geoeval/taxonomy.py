@@ -1,16 +1,15 @@
-"""The toponym type system and its literal/associative classification rule.
+"""The toponym type system and its literal/associative grouping.
 
 Eleven fine-grained toponym types collapse onto two top-level groups:
 LITERAL (the referent is the physical place) and ASSOCIATIVE (the referent
 is merely associated with a place: metonyms, demonyms, languages, homonyms
-and associative modifiers). The classifier here is a referee over
-annotated features, not an NLP model: context kind, modifier status and
-head concreteness come from annotation, never from raw text.
+and associative modifiers). The group comes from the annotated type label
+through one fixed table, never from raw text; the two expression kinds
+that augmentation uses sit in the same table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -35,7 +34,15 @@ class TaxonomyType(Enum):
     HOMONYM = "Homonym"
 
 
-# Fixed top-level grouping: the first five are literal, the rest associative.
+class ExpressionKind(Enum):
+    """Noun-phrase expression labels for augmentation; values are annotation labels."""
+
+    LITERAL = "LiteralExpression"
+    ASSOCIATIVE = "AssociativeExpression"
+
+
+# Fixed top-level grouping: the first five types are literal, the rest
+# associative, and each expression kind belongs to its namesake group.
 _TOP_LEVEL = {
     TaxonomyType.LITERAL: TopLevel.LITERAL,
     TaxonomyType.LITERAL_MODIFIER: TopLevel.LITERAL,
@@ -48,6 +55,8 @@ _TOP_LEVEL = {
     TaxonomyType.DEMONYM: TopLevel.ASSOCIATIVE,
     TaxonomyType.NON_LIT_MODIFIER: TopLevel.ASSOCIATIVE,
     TaxonomyType.HOMONYM: TopLevel.ASSOCIATIVE,
+    ExpressionKind.LITERAL: TopLevel.LITERAL,
+    ExpressionKind.ASSOCIATIVE: TopLevel.ASSOCIATIVE,
 }
 
 # Types with no physical referent of their own; excluded from geocoding
@@ -57,51 +66,6 @@ NON_LOCATIONAL_TYPES = frozenset(
 )
 
 
-class ContextKind(Enum):
-    LITERAL_CONTEXT = "LiteralContext"
-    ASSOCIATIVE_CONTEXT = "AssociativeContext"
-    AMBIGUOUS_OR_MIXED = "AmbiguousOrMixed"
-
-
-class NPSemantics(Enum):
-    NOUN_LITERAL = "NounLiteral"
-    ADJECTIVAL_LITERAL = "AdjectivalLiteral"
-    NON_TOPONYM = "NonToponym"
-
-
-@dataclass(frozen=True)
-class ToponymFeatures:
-    """Annotated features of a toponym mention inside its clause.
-
-    head_concrete describes the noun-phrase head the toponym modifies
-    (concrete/static vs abstract/mobile) and is only meaningful when
-    is_modifier is true.
-    """
-
-    context_kind: ContextKind
-    is_modifier: bool
-    head_concrete: bool
-    np_semantics: NPSemantics
-
-
-def classify_top_level(features: ToponymFeatures) -> TopLevel:
-    """Decide literal vs associative from annotated features.
-
-    Rule: a literal or ambiguous/mixed context makes the toponym literal.
-    In an associative context, non-modifiers are associative; modifiers
-    are literal only when the head they modify is concrete/static
-    ("the British weather"), otherwise associative.
-    """
-    if features.context_kind in (
-        ContextKind.LITERAL_CONTEXT,
-        ContextKind.AMBIGUOUS_OR_MIXED,
-    ):
-        return TopLevel.LITERAL
-    if not features.is_modifier:
-        return TopLevel.ASSOCIATIVE
-    return TopLevel.LITERAL if features.head_concrete else TopLevel.ASSOCIATIVE
-
-
-def top_level(toponym_type: TaxonomyType) -> TopLevel:
-    """Map a fine-grained type onto its literal/associative group."""
-    return _TOP_LEVEL[toponym_type]
+def top_level(label: TaxonomyType | ExpressionKind) -> TopLevel:
+    """Map a toponym type or an expression kind onto its literal/associative group."""
+    return _TOP_LEVEL[label]

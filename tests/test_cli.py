@@ -441,6 +441,38 @@ def test_csv_with_other_header_is_refused(tmp_path, capsys):
     assert csv_path.read_text(encoding="utf-8") == old
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"x" * 200_000 + b"\n"], ids=["not-utf8", "huge-field"])
+def test_unreadable_csv_is_named(tmp_path, capsys, content):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_bytes(content)
+    assert main([
+        "eval-tagging", "--gold", str(gold), "--pred", str(pred),
+        "--out", str(tmp_path / "r.txt"), "--csv", str(csv_path),
+    ]) == 1
+    assert f"geoeval: error: cannot read CSV file {csv_path}: " in capsys.readouterr().err
+    assert csv_path.read_bytes() == content
+
+
+def test_eval_warns_of_predictions_that_contradict_the_text(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tXXXXX\tLocation\t\t\ndoc2\t0\t999\tLondon\tLocation\t\t\n",
+                    encoding="utf-8")
+    report_path = tmp_path / "r.txt"
+    assert main([
+        "eval-tagging", "--gold", str(gold), "--pred", str(pred), "--pred-b", str(pred),
+        "--mode", "overlap", "--out", str(report_path),
+    ]) == 0
+    report = report_path.read_text(encoding="utf-8")
+    assert "tp: 2\n" in report  # the offsets still score
+    for prefix in ("pred: ", "pred-b: "):
+        assert (f"warning: {prefix}2 predictions run past their document's text "
+                "or differ from it in surface\n") in report
+
+
 def test_config_file_supplies_defaults(tmp_path):
     gold = build_corpus(tmp_path)
     config = tmp_path / "config.json"

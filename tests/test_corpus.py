@@ -115,6 +115,51 @@ def test_comment_and_relation_lines_ignored():
     assert len(doc.annotations) == 1
 
 
+PARIS_TEXT = "It happened in Paris."
+PARIS_T_LINE = "T1\tLiteral 15 20\tParis\n"
+
+
+@pytest.mark.parametrize(
+    "first,second,message",
+    [
+        ("N1\tReference T1 Geonames:2988507\tParis", "N2\tReference T1 Geonames:4717560\tParis",
+         "T1: Geonames 4717560 conflicts with 2988507 from line 2"),
+        ("N1\tReference T1 Coordinates:48.85,2.35\tParis",
+         "N2\tReference T1 Coordinates:33.66,-95.55\tParis",
+         "T1: Coordinates Coordinate(lat=33.66, lon=-95.55) conflicts with "
+         "Coordinate(lat=48.85, lon=2.35) from line 2"),
+        ("A1\tmodifier_type T1 Noun", "A2\tmodifier_type T1 Adjective",
+         "T1: modifier_type 'Adjective' conflicts with 'Noun' from line 2"),
+    ],
+    ids=["Geonames", "Coordinates", "modifier_type"],
+)
+def test_conflicting_values_on_one_span_refused(first, second, message):
+    with pytest.raises(BratParseError) as exc_info:
+        load_brat(PARIS_TEXT, f"{PARIS_T_LINE}{first}\n{second}\n")
+    assert str(exc_info.value) == f"line 3: {message}"
+
+
+def test_conflicting_non_locational_on_an_expression_refused():
+    text = "The deal was agreed by the chief engineer."
+    ann_text = _expression_ann(text, "the chief engineer", "AssociativeExpression")
+    with pytest.raises(BratParseError) as exc_info:
+        load_brat(text, ann_text + "A2\tnon_locational T1 False\n")
+    assert str(exc_info.value) == "line 3: T1: non_locational False conflicts with True from line 2"
+
+
+def test_identical_repeated_values_load():
+    ann_text = (
+        PARIS_T_LINE
+        + "N1\tReference T1 Geonames:2988507\tParis\n"
+        + "N2\tReference T1 Geonames:2988507\tParis\n"
+        + "A1\tnon_locational T1\n"
+        + "A2\tnon_locational T1 True\n"
+    )
+    ann = load_brat(PARIS_TEXT, ann_text).annotations[0]
+    assert ann.gazetteer_id == 2988507
+    assert ann.non_locational is True
+
+
 def _expression_ann(text: str, surface: str, label: str) -> str:
     start = text.index(surface)
     return (

@@ -411,19 +411,26 @@ def test_report_rendering_and_csv():
     assert [c["accuracy"] for c in cells[2:]] == ["0.250000", "0.500000", "0.500000"]
 
 
+EVAL_TEXT = "Gondor, Rohan and Mordor."
+
+
 def _docs_for_evaluate():
-    text = "Gondor, Rohan and Mordor."
     ann = (
         "T1\tLiteral 0 6\tGondor\nN1\tReference T1 Coordinates:10.0,20.0\tGondor\n"
         "T2\tLiteral 8 13\tRohan\nN2\tReference T2 Coordinates:11.0,21.0\tRohan\n"
         "T3\tLiteral 18 24\tMordor\n"
     )
-    return [load_brat(text, ann, doc_id="d")]
+    return [load_brat(EVAL_TEXT, ann, doc_id="d")]
+
+
+def _said(doc_id, start, end, coord=None):
+    """A prediction whose surface is EVAL_TEXT at its offsets."""
+    return PredictionRecord(doc_id, start, end, EVAL_TEXT[start:end], predicted_coord=coord)
 
 
 def test_evaluate_tagging_with_mcnemar():
-    a = [_pred("d", 0, 6), _pred("d", 8, 13)]
-    b = [_pred("d", 0, 6), _pred("d", 18, 24), _pred("d", 30, 31)]
+    a = [_said("d", 0, 6), _said("d", 8, 13)]
+    b = [_said("d", 0, 6), _said("d", 18, 24), _said("d", 14, 17)]
     report = evaluate(_docs_for_evaluate(), a, "toy", pred_b=b)
     assert (report.n_gold, report.n_predicted, report.n_resolved) == (3, 2, 0)
     assert (report.tagging.counts, report.geocoding) == (TaggingCounts(tp=2, fp=0, fn=1), None)
@@ -437,7 +444,7 @@ def test_evaluate_tagging_with_mcnemar():
 def test_evaluate_geocoding_warnings_and_wilcoxon():
     # Without an index only gold spans with coordinates count; one match is
     # unresolved, so half the matches carry an error.
-    a = [_pred("d", 0, 6, Coordinate(10.0, 20.0)), _pred("d", 8, 13)]
+    a = [_said("d", 0, 6, Coordinate(10.0, 20.0)), _said("d", 8, 13)]
     report = evaluate(_docs_for_evaluate(), a, "toy", thresholds_km=(5.0, 161.0))
     assert (report.n_gold, report.n_resolved, report.tagging) == (2, 1, None)
     assert report.geocoding.accuracy_at_km == {5.0: 1.0, 161.0: 1.0}
@@ -447,13 +454,13 @@ def test_evaluate_geocoding_warnings_and_wilcoxon():
     ]
 
     # B resolves only the span A leaves unresolved: nothing to pair.
-    b = [_pred("d", 8, 13, Coordinate(11.0, 21.5))]
+    b = [_said("d", 8, 13, Coordinate(11.0, 21.5))]
     report = evaluate(_docs_for_evaluate(), a, "toy", thresholds_km=(161.0,), pred_b=b)
     assert report.stat_tests == []
     assert report.warnings[-1] == "wilcoxon: no toponyms resolved by both systems"
 
     # Paired over the gold spans both systems resolved.
-    b = [_pred("d", 0, 6, Coordinate(10.5, 20.0)), _pred("d", 8, 13, Coordinate(11.0, 21.5))]
+    b = [_said("d", 0, 6, Coordinate(10.5, 20.0)), _said("d", 8, 13, Coordinate(11.0, 21.5))]
     report = evaluate(_docs_for_evaluate(), b, "toy", thresholds_km=(161.0,), pred_b=a)
     (test,) = report.stat_tests
     assert (test.name, test.n) == ("wilcoxon", 1)
@@ -463,7 +470,7 @@ def test_evaluate_geocoding_warnings_and_wilcoxon():
          + great_circle_distance(Coordinate(11.0, 21.5), Coordinate(11.0, 21.0))) / 2
     )
 
-    report = evaluate(_docs_for_evaluate(), [_pred("d", 8, 13)], "toy", thresholds_km=(161.0,))
+    report = evaluate(_docs_for_evaluate(), [_said("d", 8, 13)], "toy", thresholds_km=(161.0,))
     assert report.geocoding is None
     assert report.warnings[1:] == [
         "only 0% of geotagged toponyms were resolved; below the 50% representativeness minimum",
@@ -473,8 +480,8 @@ def test_evaluate_geocoding_warnings_and_wilcoxon():
 
 
 def test_evaluate_warns_of_predictions_for_unknown_documents():
-    known = [_pred("d", 0, 6)]
-    ghosts = [_pred("ghost", 0, 6), _pred("d.txt", 8, 13)]
+    known = [_said("d", 0, 6)]
+    ghosts = [_said("ghost", 0, 6), _said("d.txt", 8, 13)]
     report = evaluate(_docs_for_evaluate(), known + ghosts, "toy")
     assert report.tagging.counts == TaggingCounts(tp=1, fp=2, fn=2)
     assert report.warnings == ["2 predictions name documents not in the gold set"]
@@ -489,3 +496,25 @@ def test_evaluate_warns_of_predictions_for_unknown_documents():
         "pred: 2 predictions name documents not in the gold set",
         "pred-b: 1 predictions name documents not in the gold set",
     ]
+
+
+def test_evaluate_warns_of_predictions_that_contradict_the_text():
+    wrong_surface = PredictionRecord("d", 0, 6, "XXXXXX")
+    past_the_end = PredictionRecord("d", 18, 999, "Mordor.")
+    report = evaluate(_docs_for_evaluate(), [wrong_surface], "toy")
+    assert report.tagging.counts == TaggingCounts(tp=1, fp=0, fn=2)  # offsets still score
+    assert report.warnings == [
+        "1 predictions run past their document's text or differ from it in surface"
+    ]
+    report = evaluate(_docs_for_evaluate(), [past_the_end], "toy", mode=MatchMode.OVERLAP)
+    assert report.tagging.counts == TaggingCounts(tp=1, fp=0, fn=2)
+    assert report.warnings == [
+        "1 predictions run past their document's text or differ from it in surface"
+    ]
+    report = evaluate(
+        _docs_for_evaluate(), [_said("d", 0, 6)], "toy", pred_b=[wrong_surface, past_the_end]
+    )
+    assert report.warnings[0] == (
+        "pred-b: 2 predictions run past their document's text or differ from it in surface"
+    )
+    assert not any(w.startswith("pred: ") for w in report.warnings)

@@ -1,101 +1,36 @@
-import itertools
-
 import pytest
 
-from geoeval.taxonomy import (
-    ContextKind,
-    NPSemantics,
-    TaxonomyType,
-    ToponymFeatures,
-    TopLevel,
-    classify_top_level,
-    top_level,
-)
+from geoeval import corpus
+from geoeval.taxonomy import ExpressionKind, TaxonomyType, TopLevel, top_level
 
 LIT = TopLevel.LITERAL
 ASSOC = TopLevel.ASSOCIATIVE
 
 
-# Hand-written truth table for all 12 feature combinations: a literal or
-# ambiguous/mixed context forces LITERAL; in an associative context only
-# modifiers of concrete heads stay literal.
-TRUTH_TABLE = {
-    (ContextKind.LITERAL_CONTEXT, False, False): LIT,
-    (ContextKind.LITERAL_CONTEXT, False, True): LIT,
-    (ContextKind.LITERAL_CONTEXT, True, False): LIT,
-    (ContextKind.LITERAL_CONTEXT, True, True): LIT,
-    (ContextKind.AMBIGUOUS_OR_MIXED, False, False): LIT,
-    (ContextKind.AMBIGUOUS_OR_MIXED, False, True): LIT,
-    (ContextKind.AMBIGUOUS_OR_MIXED, True, False): LIT,
-    (ContextKind.AMBIGUOUS_OR_MIXED, True, True): LIT,
-    (ContextKind.ASSOCIATIVE_CONTEXT, False, False): ASSOC,
-    (ContextKind.ASSOCIATIVE_CONTEXT, False, True): ASSOC,
-    (ContextKind.ASSOCIATIVE_CONTEXT, True, False): ASSOC,
-    (ContextKind.ASSOCIATIVE_CONTEXT, True, True): LIT,
-}
-
-
-def test_truth_table_complete():
-    combos = list(itertools.product(ContextKind, [False, True], [False, True]))
-    assert len(combos) == 12
-    for context, is_modifier, head_concrete in combos:
-        features = ToponymFeatures(
-            context_kind=context,
-            is_modifier=is_modifier,
-            head_concrete=head_concrete,
-            np_semantics=NPSemantics.NOUN_LITERAL,
-        )
-        assert classify_top_level(features) == TRUTH_TABLE[(context, is_modifier, head_concrete)]
-
-
-def test_total_over_np_semantics():
-    # np_semantics never changes the top-level outcome.
-    for semantics in NPSemantics:
-        features = ToponymFeatures(
-            ContextKind.ASSOCIATIVE_CONTEXT, True, True, semantics
-        )
-        assert classify_top_level(features) == LIT
-
-
-# The eleven type-table rows re-expressed as feature vectors, with the
-# group each row belongs to.
+# The eleven type-table rows, with the group each row belongs to.
 TABLE_ROWS = [
-    # Literals: noun literal in a literal context.
-    ("Literal", ContextKind.LITERAL_CONTEXT, False, False, NPSemantics.NOUN_LITERAL, LIT),
-    # Literal modifiers: associative context but a concrete head ("British weather").
-    ("LiteralModifier", ContextKind.ASSOCIATIVE_CONTEXT, True, True, NPSemantics.ADJECTIVAL_LITERAL, LIT),
-    # Mixed: ambiguous or mixed context.
-    ("Mixed", ContextKind.AMBIGUOUS_OR_MIXED, False, False, NPSemantics.NOUN_LITERAL, LIT),
-    # Coercion: non-toponym sense coerced by a literal context.
-    ("Coercion", ContextKind.LITERAL_CONTEXT, False, False, NPSemantics.NON_TOPONYM, LIT),
-    # Embedded literal: non-toponym nested entity in a literal context.
-    ("EmbeddedLiteral", ContextKind.LITERAL_CONTEXT, True, True, NPSemantics.NON_TOPONYM, LIT),
-    # Embedded associative: nested entity, associative context, abstract head.
-    ("EmbeddedAssociative", ContextKind.ASSOCIATIVE_CONTEXT, True, False, NPSemantics.NON_TOPONYM, ASSOC),
-    # Metonymy: noun literal form, associative context, not a modifier.
-    ("Metonymy", ContextKind.ASSOCIATIVE_CONTEXT, False, False, NPSemantics.NOUN_LITERAL, ASSOC),
-    # Languages: adjectival form, associative context.
-    ("Language", ContextKind.ASSOCIATIVE_CONTEXT, False, False, NPSemantics.ADJECTIVAL_LITERAL, ASSOC),
-    # Demonyms: adjectival form, associative context.
-    ("Demonym", ContextKind.ASSOCIATIVE_CONTEXT, False, False, NPSemantics.ADJECTIVAL_LITERAL, ASSOC),
-    # Non-literal modifiers: modifier of an abstract/mobile head.
-    ("NonLitModifier", ContextKind.ASSOCIATIVE_CONTEXT, True, False, NPSemantics.ADJECTIVAL_LITERAL, ASSOC),
-    # Homonyms: noun literal spelling, associative context.
-    ("Homonym", ContextKind.ASSOCIATIVE_CONTEXT, False, False, NPSemantics.NOUN_LITERAL, ASSOC),
+    ("Literal", LIT),
+    ("LiteralModifier", LIT),
+    ("Mixed", LIT),
+    ("Coercion", LIT),
+    ("EmbeddedLiteral", LIT),
+    ("EmbeddedAssociative", ASSOC),
+    ("Metonymy", ASSOC),
+    ("Language", ASSOC),
+    ("Demonym", ASSOC),
+    ("NonLitModifier", ASSOC),
+    ("Homonym", ASSOC),
 ]
 
 
-@pytest.mark.parametrize("name,context,is_mod,concrete,semantics,expected", TABLE_ROWS)
-def test_type_table_rows(name, context, is_mod, concrete, semantics, expected):
-    features = ToponymFeatures(context, is_mod, concrete, semantics)
-    assert classify_top_level(features) == expected
-    # The feature-level decision agrees with the fixed type grouping.
+@pytest.mark.parametrize("name,expected", TABLE_ROWS)
+def test_type_table_rows(name, expected):
     assert top_level(TaxonomyType(name)) == expected
 
 
 def test_eleven_rows():
     assert len(TABLE_ROWS) == 11
-    assert {name for name, *_ in TABLE_ROWS} == {t.value for t in TaxonomyType}
+    assert {name for name, _ in TABLE_ROWS} == {t.value for t in TaxonomyType}
 
 
 def test_top_level_mapping():
@@ -108,22 +43,9 @@ def test_top_level_mapping():
     assert len(associatives) == 6
 
 
-def test_classify_examples_from_usage():
-    # "The British weather": associative context, concrete head -> literal.
-    assert (
-        classify_top_level(
-            ToponymFeatures(
-                ContextKind.ASSOCIATIVE_CONTEXT, True, True, NPSemantics.ADJECTIVAL_LITERAL
-            )
-        )
-        == LIT
-    )
-    # Non-modifier in associative context -> associative.
-    assert (
-        classify_top_level(
-            ToponymFeatures(
-                ContextKind.ASSOCIATIVE_CONTEXT, False, True, NPSemantics.NOUN_LITERAL
-            )
-        )
-        == ASSOC
-    )
+def test_expression_kinds_share_the_type_table():
+    assert top_level(ExpressionKind.LITERAL) == LIT
+    assert top_level(ExpressionKind.ASSOCIATIVE) == ASSOC
+    # The BRAT labels and the name corpus exports are unchanged.
+    assert corpus.ExpressionKind is ExpressionKind
+    assert [k.value for k in ExpressionKind] == ["LiteralExpression", "AssociativeExpression"]

@@ -441,7 +441,9 @@ def test_csv_with_other_header_is_refused(tmp_path, capsys):
     assert csv_path.read_text(encoding="utf-8") == old
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe", b"x" * 200_000 + b"\n"], ids=["not-utf8", "huge-field"])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe", b"x" * 200_000 + b"\n"], ids=["not-utf8", "huge-field"]
+)
 def test_unreadable_csv_is_named(tmp_path, capsys, content):
     gold = build_corpus(tmp_path)
     pred = tmp_path / "p.pred"

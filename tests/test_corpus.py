@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 
@@ -158,6 +159,80 @@ def test_identical_repeated_values_load():
     ann = load_brat(PARIS_TEXT, ann_text).annotations[0]
     assert ann.gazetteer_id == 2988507
     assert ann.non_locational is True
+
+
+PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
+
+
+# Each case is (ann, outcome): a (line_no, message) pair for a refused .ann,
+# or the annotation a loaded one gives.
+@pytest.mark.parametrize(
+    "ann_text,outcome",
+    [
+        ("T1\tLiteral 15\tParis\n", (1, "unparseable T-line: 'T1\\tLiteral 15\\tParis'")),
+        (PARIS_T_LINE * 2, (2, "duplicate annotation id T1")),
+        ("T1\tLiteral 15 99\tParis\n", (1, "T1: span (15, 99) outside text of length 21")),
+        ("T1\tLiteral 15 20\tParix\n",
+         (1, "T1: surface 'Parix' does not match text 'Paris' at (15, 20)")),
+        ("T1\tCity 15 20\tParis\n", (1, "T1: unknown annotation type 'City'")),
+        (PARIS_T_LINE + "A1\tmodifier_type\n", (2, "unparseable A-line: 'A1\\tmodifier_type'")),
+        (PARIS_T_LINE + "N1\tReference T1 Geonames\n",
+         (2, "unparseable N-line: 'N1\\tReference T1 Geonames'")),
+        (PARIS_T_LINE + "X1\tNote T1\n", (2, "unrecognised line: 'X1\\tNote T1'")),
+        (PARIS_T_LINE + "A1\tmodifier_type T9 Noun\n", (2, "attribute references missing span T9")),
+        (PARIS_T_LINE + "A1\tchecked T9 yes\n", (2, "attribute references missing span T9")),
+        (PARIS_T_LINE + "N1\tReference T9 Geonames:1\tx\n",
+         (2, "normalization references missing span T9")),
+        (PARIS_T_LINE + "N1\tReference T9 Wikidata:Q90\tx\n",
+         (2, "normalization references missing span T9")),
+        (PARIS_T_LINE + "A1\tmodifier_type T1 Verb\n",
+         (2, "modifier_type must be one of ('Adjective', 'Noun'), got 'Verb'")),
+        (PARIS_T_LINE + "A1\tmodifier_type T1\n",
+         (2, "modifier_type must be one of ('Adjective', 'Noun'), got None")),
+        (PARIS_T_LINE + "A1\tnon_locational T1 Yes\n",
+         (2, "non_locational must be True or False, got 'Yes'")),
+        (PARIS_T_LINE + "N1\tReference T1 Geonames:Paris\tParis\n",
+         (2, "bad gazetteer id 'Paris'")),
+        (PARIS_T_LINE + "N1\tReference T1 Coordinates:48.85\tParis\n",
+         (2, "bad coordinate value '48.85': not enough values to unpack (expected 2, got 1)")),
+        (PARIS_T_LINE + "N1\tReference T1 Coordinates:48.85,east\tParis\n",
+         (2, "bad coordinate value '48.85,east': could not convert string to float: 'east'")),
+        (PARIS_T_LINE + "N1\tReference T1 Coordinates:95,2.35\tParis\n",
+         (2, "bad coordinate value '95,2.35': latitude 95.0 outside [-90, 90]")),
+        (PARIS_T_LINE + "A1\tnon_locational T1\nA2\tnon_locational T1 False\n",
+         (3, "T1: non_locational False conflicts with True from line 2")),
+        (PARIS_T_LINE + "A1\tmodifier_type T1 Verb\nN1\tReference T1\n",
+         (3, "unparseable N-line: 'N1\\tReference T1'")),
+        (PARIS_T_LINE + "N1\tReference T1 Geonames:Paris\tParis\nA1\tmodifier_type T1 Verb\n",
+         (3, "modifier_type must be one of ('Adjective', 'Noun'), got 'Verb'")),
+        (PARIS_T_LINE + "A1\tnon_locational T9 Yes\nN1\tReference T1 Geonames:2988507\tx\n"
+         "N2\tReference T1 Geonames:1\tx\n",
+         (2, "attribute references missing span T9")),
+        ("A1\tmodifier_type T1 Noun\nN1\tReference T1 Geonames:2988507\tParis\n" + PARIS_T_LINE,
+         dataclasses.replace(PARIS, modifier_type="Noun", gazetteer_id=2988507)),
+        (PARIS_T_LINE + "A1\tchecked T1 yes\nA2\tNegated T1\nN1\tReference T1 Wikidata:Q90\tParis\n"
+         "N2\tReference T1 Wikidata:Q91\tParis\n",
+         PARIS),
+    ],
+    ids=[
+        "unparseable-T", "duplicate-T", "span-outside-text", "surface-mismatch", "unknown-type",
+        "unparseable-A", "unparseable-N", "unrecognised-line", "A-missing-span",
+        "unmodelled-A-missing-span", "N-missing-span", "unmodelled-N-missing-span",
+        "bad-modifier_type", "modifier_type-without-value", "bad-non_locational",
+        "non-integer-Geonames", "Coordinates-one-number", "Coordinates-not-a-number",
+        "Coordinates-out-of-range", "non_locational-conflict", "later-syntax-beats-earlier-value",
+        "A-line-beats-earlier-N-line", "first-A-error-beats-N-conflict", "A-and-N-before-T-load",
+        "unmodelled-attribute-and-resource-ignored",
+    ],
+)
+def test_load_brat_errors_and_their_line(ann_text, outcome):
+    if isinstance(outcome, ToponymAnnotation):
+        assert load_brat(PARIS_TEXT, ann_text).annotations == [outcome]
+        return
+    line_no, message = outcome
+    with pytest.raises(BratParseError) as exc_info:
+        load_brat(PARIS_TEXT, ann_text)
+    assert (str(exc_info.value), exc_info.value.line_no) == (f"line {line_no}: {message}", line_no)
 
 
 def _expression_ann(text: str, surface: str, label: str) -> str:

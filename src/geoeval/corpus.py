@@ -147,8 +147,35 @@ class Document:
 _LABELS = {member.value: member for member in (*TaxonomyType, *ExpressionKind)}
 
 _T_LINE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
-_A_LINE = re.compile(r"^(A\d+)\t(\S+) (T\d+)(?: (\S+))?\s*$")
-_N_LINE = re.compile(r"^(N\d+)\tReference (T\d+) ([^:\t]+):(\S+)(?:\t(.*))?$")
+_A_LINE = re.compile(r"^A\d+\t(?P<name>\S+) (?P<tid>T\d+)(?: (?P<value>\S+))?\s*$")
+_N_LINE = re.compile(r"^N\d+\tReference (?P<tid>T\d+) (?P<name>[^:\t]+):(?P<value>\S+)(?:\t.*)?$")
+
+
+def _parse_value(kind: str, name: str, raw: Optional[str]):
+    """The value an A-line (`kind` "A") or N-line ("N") gives attribute or resource `name`.
+
+    Returns None for a name geoeval does not model; a bad value raises ValueError.
+    """
+    if kind == "A" and name == MODIFIER_ATTRIBUTE:
+        if raw not in MODIFIER_VALUES:
+            raise ValueError(f"{MODIFIER_ATTRIBUTE} must be one of {MODIFIER_VALUES}, got {raw!r}")
+        return raw
+    if kind == "A" and name == NON_LOCATIONAL_ATTRIBUTE:
+        if raw not in (None, "True", "False"):
+            raise ValueError(f"{NON_LOCATIONAL_ATTRIBUTE} must be True or False, got {raw!r}")
+        return raw != "False"
+    if kind == "N" and name == GAZETTEER_RESOURCE:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"bad gazetteer id {raw!r}") from None
+    if kind == "N" and name == COORDINATE_RESOURCE:
+        try:
+            lat_s, lon_s = raw.split(",")
+            return Coordinate(float(lat_s), float(lon_s))
+        except ValueError as exc:
+            raise ValueError(f"bad coordinate value {raw!r}: {exc}") from None
+    return None
 
 
 def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
@@ -158,9 +185,8 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
     violations, bad offsets, surface mismatches and dangling references.
     Relation/event/comment lines are ignored.
     """
-    spans: dict[str, dict] = {}
-    attr_lines: list[tuple[int, str, str, Optional[str]]] = []
-    norm_lines: list[tuple[int, str, str, str]] = []
+    spans: dict[str, tuple] = {}  # span id -> (label, start, end, surface)
+    refs: list[tuple[str, int, str, str, Optional[str]]] = []  # (kind, line, span id, name, raw)
 
     # Lines end at LF only, as the writer's do: str.splitlines would also
     # break a surface at \x0b, \x85, U+2028 and the like.
@@ -190,126 +216,60 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
                 )
             if label not in _LABELS:
                 raise BratParseError(f"{tid}: unknown annotation type {label!r}", line_no)
-            spans[tid] = {
-                "label": _LABELS[label],
-                "start": start,
-                "end": end,
-                "surface": surface,
-                "modifier_type": None,
-                "non_locational": None,
-                "gazetteer_id": None,
-                "coord": None,
-            }
-        elif kind == "A":
-            m = _A_LINE.match(line)
+            spans[tid] = (_LABELS[label], start, end, surface)
+        elif kind in "AN":
+            m = (_A_LINE if kind == "A" else _N_LINE).match(line)
             if not m:
-                raise BratParseError(f"unparseable A-line: {line!r}", line_no)
-            _, attr_name, tid, value = m.groups()
-            attr_lines.append((line_no, attr_name, tid, value))
-        elif kind == "N":
-            m = _N_LINE.match(line)
-            if not m:
-                raise BratParseError(f"unparseable N-line: {line!r}", line_no)
-            _, tid, resource, entry = m.groups()[:4]
-            norm_lines.append((line_no, tid, resource, entry))
+                raise BratParseError(f"unparseable {kind}-line: {line!r}", line_no)
+            refs.append((kind, line_no, *m.group("tid", "name", "value")))
         elif kind in "REM#*":
             log.debug("%s: ignoring unmodelled line %d: %s", doc_id, line_no, line)
         else:
             raise BratParseError(f"unrecognised line: {line!r}", line_no)
 
-    set_on: dict[tuple[str, str], int] = {}  # (span id, record key) -> line that set it
-
-    def assign(tid: str, key: str, value, name: str, line_no: int) -> None:
-        """Set one value of a span; a second, different value is refused."""
-        record = spans[tid]
-        first = set_on.setdefault((tid, key), line_no)
-        if first != line_no and record[key] != value:
+    # Every A-line applies before any N-line, each kind in line order. A span
+    # takes one value per name: a repeat must agree with the first.
+    values: dict[tuple[str, str], tuple[object, int]] = {}  # (span id, name) -> (value, line)
+    for kind, line_no, tid, name, raw in sorted(refs):
+        what = "attribute" if kind == "A" else "normalization"
+        if tid not in spans:
+            raise BratParseError(f"{what} references missing span {tid}", line_no)
+        try:
+            value = _parse_value(kind, name, raw)
+        except ValueError as exc:
+            raise BratParseError(str(exc), line_no) from None
+        if value is None:
+            log.debug("%s: ignoring unmodelled %s %r (line %d)", doc_id, what, name, line_no)
+            continue
+        first, first_line = values.get((tid, name), (value, line_no))
+        if first != value:
             raise BratParseError(
-                f"{tid}: {name} {value!r} conflicts with {record[key]!r} from line {first}",
-                line_no,
+                f"{tid}: {name} {value!r} conflicts with {first!r} from line {first_line}", line_no
             )
-        record[key] = value
+        values[tid, name] = (value, first_line)
 
-    for line_no, attr_name, tid, value in attr_lines:
-        if tid not in spans:
-            raise BratParseError(f"attribute references missing span {tid}", line_no)
-        if attr_name == MODIFIER_ATTRIBUTE:
-            if value not in MODIFIER_VALUES:
-                raise BratParseError(
-                    f"{MODIFIER_ATTRIBUTE} must be one of {MODIFIER_VALUES}, got {value!r}",
-                    line_no,
-                )
-            assign(tid, "modifier_type", value, attr_name, line_no)
-        elif attr_name == NON_LOCATIONAL_ATTRIBUTE:
-            if value not in (None, "True", "False"):
-                raise BratParseError(
-                    f"{NON_LOCATIONAL_ATTRIBUTE} must be True or False, got {value!r}",
-                    line_no,
-                )
-            assign(tid, "non_locational", value != "False", attr_name, line_no)
-        else:
-            log.debug("%s: ignoring unknown attribute %r (line %d)", doc_id, attr_name, line_no)
-
-    for line_no, tid, resource, entry in norm_lines:
-        if tid not in spans:
-            raise BratParseError(f"normalization references missing span {tid}", line_no)
-        if resource == GAZETTEER_RESOURCE:
-            try:
-                gazetteer_id = int(entry)
-            except ValueError:
-                raise BratParseError(f"bad gazetteer id {entry!r}", line_no) from None
-            assign(tid, "gazetteer_id", gazetteer_id, resource, line_no)
-        elif resource == COORDINATE_RESOURCE:
-            try:
-                lat_s, lon_s = entry.split(",")
-                coord = Coordinate(float(lat_s), float(lon_s))
-            except ValueError as exc:
-                raise BratParseError(f"bad coordinate value {entry!r}: {exc}", line_no) from None
-            assign(tid, "coord", coord, resource, line_no)
-        else:
-            log.debug("%s: ignoring normalization resource %r (line %d)", doc_id, resource, line_no)
+    def value(tid: str, name: str):
+        return values.get((tid, name), (None,))[0]
 
     annotations: list[ToponymAnnotation] = []
     expressions: list[ExpressionAnnotation] = []
-    for record in spans.values():
-        label = record["label"]
+    for tid, (label, start, end, surface) in spans.items():
         if isinstance(label, TaxonomyType):
-            annotations.append(
-                ToponymAnnotation(
-                    start=record["start"],
-                    end=record["end"],
-                    surface=record["surface"],
-                    toponym_type=label,
-                    modifier_type=record["modifier_type"],
-                    non_locational=record["non_locational"],
-                    gazetteer_id=record["gazetteer_id"],
-                    coord=record["coord"],
-                )
-            )
-        else:
-            context_kind = label
-            if record["non_locational"] is None:
-                head_kind = context_kind
-            else:
-                head_kind = (
-                    ExpressionKind.ASSOCIATIVE
-                    if record["non_locational"]
-                    else ExpressionKind.LITERAL
-                )
-            for role, kind in (
-                (ExpressionRole.CONTEXT, context_kind),
-                (ExpressionRole.HEAD, head_kind),
-            ):
-                expressions.append(
-                    ExpressionAnnotation(
-                        doc_id=doc_id,
-                        start=record["start"],
-                        end=record["end"],
-                        surface=record["surface"],
-                        kind=kind,
-                        role=role,
-                    )
-                )
+            annotations.append(ToponymAnnotation(
+                start, end, surface, label,
+                modifier_type=value(tid, MODIFIER_ATTRIBUTE),
+                non_locational=value(tid, NON_LOCATIONAL_ATTRIBUTE),
+                gazetteer_id=value(tid, GAZETTEER_RESOURCE),
+                coord=value(tid, COORDINATE_RESOURCE),
+            ))
+            continue
+        # Context is kinded by the label, Head by non_locational when it is set.
+        non_locational = value(tid, NON_LOCATIONAL_ATTRIBUTE)
+        head_kind = label if non_locational is None else (
+            ExpressionKind.ASSOCIATIVE if non_locational else ExpressionKind.LITERAL
+        )
+        for role, kind in ((ExpressionRole.CONTEXT, label), (ExpressionRole.HEAD, head_kind)):
+            expressions.append(ExpressionAnnotation(doc_id, start, end, surface, kind, role))
 
     annotations.sort(key=lambda a: (a.start, a.end))
     expressions.sort(key=lambda e: (e.start, e.end, e.role.value))

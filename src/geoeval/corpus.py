@@ -248,7 +248,7 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
             )
         values[tid, name] = (value, first_line)
 
-    def value(tid: str, name: str):
+    def stored(tid: str, name: str):
         return values.get((tid, name), (None,))[0]
 
     annotations: list[ToponymAnnotation] = []
@@ -257,14 +257,14 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
         if isinstance(label, TaxonomyType):
             annotations.append(ToponymAnnotation(
                 start, end, surface, label,
-                modifier_type=value(tid, MODIFIER_ATTRIBUTE),
-                non_locational=value(tid, NON_LOCATIONAL_ATTRIBUTE),
-                gazetteer_id=value(tid, GAZETTEER_RESOURCE),
-                coord=value(tid, COORDINATE_RESOURCE),
+                modifier_type=stored(tid, MODIFIER_ATTRIBUTE),
+                non_locational=stored(tid, NON_LOCATIONAL_ATTRIBUTE),
+                gazetteer_id=stored(tid, GAZETTEER_RESOURCE),
+                coord=stored(tid, COORDINATE_RESOURCE),
             ))
             continue
         # Context is kinded by the label, Head by non_locational when it is set.
-        non_locational = value(tid, NON_LOCATIONAL_ATTRIBUTE)
+        non_locational = stored(tid, NON_LOCATIONAL_ATTRIBUTE)
         head_kind = label if non_locational is None else (
             ExpressionKind.ASSOCIATIVE if non_locational else ExpressionKind.LITERAL
         )

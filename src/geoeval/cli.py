@@ -141,9 +141,8 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     naming another subcommand's flag is skipped.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        config = _read_operator_file("config", path, json.load)
+    except json.JSONDecodeError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError(f"config {path} must be a JSON object")
@@ -174,6 +173,29 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     sub.choices[command].set_defaults(**defaults)
 
 
+def _read_operator_file(what: str, path: str, parse):
+    """parse(fh) on the UTF-8 file at `path`; a file that cannot be read or decoded is named."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _refuse_output_over_input(args: argparse.Namespace) -> None:
+    """Refuse a command whose output flag names the same file as one of its inputs."""
+    outputs = ["out", "csv"]
+    inputs = ["dump", "pred", "pred_b", "lexicon", "blocklist", "config"]
+    # ingest writes its --cache; every other command reads it.
+    (outputs if args.command == "ingest" else inputs).append("cache")
+    for out in outputs:
+        for inp in inputs:
+            paths = getattr(args, out, None), getattr(args, inp, None)
+            if all(paths) and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+                flag = "--" + inp.replace("_", "-")
+                raise InputError(f"--{out} {paths[0]} would write over the input {flag} {paths[1]}")
+
+
 def _load_gold(path: str) -> list[corpus.Document]:
     if not os.path.isdir(path):
         raise InputError(f"gold directory not found: {path}")
@@ -190,11 +212,7 @@ def _load_index(path: str) -> gazetteer.GazetteerIndex:
 
 
 def _load_predictions(path: str, lenient: bool) -> list[corpus.PredictionRecord]:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            records, errors = corpus.load_predictions(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read predictions {path}: {exc}") from exc
+    records, errors = _read_operator_file("predictions", path, corpus.load_predictions)
     if errors:
         for err in errors[:10]:
             print(f"{path}:{err.line_no}: {err.message}", file=sys.stderr)
@@ -250,11 +268,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _evaluate(args: argparse.Namespace, thresholds_km: Optional[list[float]]) -> int:
+    dataset_id = args.dataset_id or os.path.basename(os.path.normpath(args.gold))
+    # The report is one "key: value" per line, so a line break would forge a line.
+    if dataset_id.splitlines() != [dataset_id]:
+        raise InputError(f"dataset id {dataset_id!r} must be one non-empty line")
     docs = _load_gold(args.gold)
     index = _load_index(args.cache) if args.cache else None
     records = _load_predictions(args.pred, args.lenient)
     records_b = _load_predictions(args.pred_b, args.lenient) if args.pred_b else None
-    dataset_id = args.dataset_id or os.path.basename(os.path.normpath(args.gold))
     report = metrics.evaluate(
         docs, records, dataset_id, index=index, mode=metrics.MatchMode(args.mode),
         thresholds_km=thresholds_km, pred_b=records_b,
@@ -283,21 +304,15 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     else:
         blocklist = tagger.DEFAULT_BLOCKLIST
         if args.blocklist:
-            try:
-                with open(args.blocklist, encoding="utf-8-sig") as fh:
-                    blocklist = frozenset(line.strip().casefold() for line in fh if line.strip())
-            except OSError as exc:
-                raise InputError(f"cannot read blocklist {args.blocklist}: {exc}") from exc
+            blocklist = _read_operator_file(
+                "blocklist", args.blocklist,
+                lambda fh: frozenset(line.strip().casefold() for line in fh if line.strip()),
+            )
         records = []
         for doc in docs:
             records.extend(tagger.gazetteer_tag(doc, index, blocklist, args.max_ngram))
 
-    lexicon = None
-    if args.lexicon:
-        try:
-            lexicon = resolver.load_lexicon_path(args.lexicon)
-        except OSError as exc:
-            raise InputError(f"cannot read lexicon {args.lexicon}: {exc}") from exc
+    lexicon = _read_operator_file("lexicon", args.lexicon, resolver.load_lexicon) if args.lexicon else None
 
     result = resolver.resolve_population(
         records, index, lexicon=lexicon, populated_only=args.populated_only
@@ -365,6 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config:
             _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)
+        _refuse_output_over_input(args)
         return args.func(args)
     except (InputError, corpus.BratParseError, gazetteer.GazetteerError, OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -609,3 +610,93 @@ def test_help_exits_0(capsys):
         main(["folds", "--help"])
     assert exc.value.code == 0
     assert "--k K" in capsys.readouterr().out
+
+
+def test_ingest_refuses_to_write_its_cache_over_its_dump(tmp_path, capsys):
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    before = dump.read_bytes()
+    assert main(["ingest", "--dump", str(dump), "--cache", str(dump)]) == 1
+    assert f"--cache {dump} would write over the input --dump {dump}" in capsys.readouterr().err
+    assert dump.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval-tagging", "--gold", "{gold}", "--pred", "{pred}", "--out", "{pred}"],
+         "--out {pred} would write over the input --pred {pred}"),
+        (["eval-geocoding", "--gold", "{gold}", "--pred", "{pred}", "--pred-b", "{link}",
+          "--out", "{report}", "--csv", "{pred}"],
+         "--csv {pred} would write over the input --pred {pred}"),
+        (["eval-tagging", "--gold", "{gold}", "--pred", "{link}", "--out", "{pred}"],
+         "--out {pred} would write over the input --pred {link}"),
+        (["align", "--pred", "{pred}", "--cache", "{cache}", "--out", "{pred}"],
+         "--out {pred} would write over the input --pred {pred}"),
+        (["--config", "{config}", "eval-tagging", "--gold", "{gold}", "--pred", "{pred}",
+          "--out", "{config}"],
+         "--out {config} would write over the input --config {config}"),
+    ],
+    ids=["eval-out-over-pred", "eval-csv-over-pred", "eval-out-over-a-hard-link", "align-in-place",
+         "eval-out-over-config"],
+)
+def test_an_output_over_an_input_is_refused(tmp_path, capsys, argv, message):
+    paths = {"gold": build_corpus(tmp_path), "cache": build_cache(tmp_path)[1],
+             "pred": tmp_path / "p.pred", "link": tmp_path / "link.pred",
+             "report": tmp_path / "r.txt", "config": tmp_path / "config.json"}
+    paths["pred"].write_text("doc1\t0\t5\tParis\tLocation\t48.8566\t2.3522\n", encoding="utf-8")
+    os.link(paths["pred"], paths["link"])
+    paths["config"].write_text('{"mode": "exact"}', encoding="utf-8")
+    inputs = {name: paths[name].read_bytes() for name in ("pred", "config")}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert message.format(**paths) in capsys.readouterr().err
+    assert {name: paths[name].read_bytes() for name in inputs} == inputs
+    assert not paths["report"].exists()
+
+
+@pytest.mark.parametrize(
+    "what, argv",
+    [
+        ("predictions", ["eval-tagging", "--gold", "{gold}", "--pred", "{bad}", "--out", "{out}"]),
+        ("lexicon", ["baseline", "--gold", "{gold}", "--cache", "{cache}", "--oracle-ner",
+                     "--lexicon", "{bad}", "--out", "{out}"]),
+        ("blocklist", ["baseline", "--gold", "{gold}", "--cache", "{cache}", "--dictionary-ner",
+                       "--blocklist", "{bad}", "--out", "{out}"]),
+        ("config", ["--config", "{bad}", "folds", "--gold", "{gold}", "--out", "{out}"]),
+    ],
+    ids=["predictions", "lexicon", "blocklist", "config"],
+)
+def test_undecodable_operator_file_is_named(tmp_path, capsys, what, argv):
+    paths = {"gold": build_corpus(tmp_path), "cache": build_cache(tmp_path)[1],
+             "bad": tmp_path / "utf16.txt", "out": tmp_path / "out"}
+    paths["bad"].write_bytes(b"\xff\xfe")
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read {what} {paths['bad']}: 'utf-8' codec can't decode byte 0xff" in err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("dataset_id", ["a\nn_gold: 999", "a\rb", "a\u2028b"],
+                         ids=["LF", "CR", "line-separator"])
+def test_dataset_id_of_more_than_one_line_is_refused(tmp_path, capsys, dataset_id):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    report, rows = tmp_path / "r.txt", tmp_path / "rows.csv"
+    assert main(["eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(report),
+                 "--csv", str(rows), "--dataset-id", dataset_id]) == 1
+    assert f"dataset id {dataset_id!r} must be one non-empty line" in capsys.readouterr().err
+    assert not report.exists() and not rows.exists()
+
+
+def test_gold_directory_name_with_a_line_break_needs_a_dataset_id(tmp_path, capsys):
+    gold = build_corpus(tmp_path).rename(tmp_path / "gold\nn_gold: 999")
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    report = tmp_path / "r.txt"
+    argv = ["eval-geocoding", "--gold", str(gold), "--pred", str(pred), "--out", str(report)]
+    assert main(argv) == 1
+    assert "dataset id 'gold\\nn_gold: 999' must be one non-empty line" in capsys.readouterr().err
+    assert not report.exists()
+    assert main(argv + ["--dataset-id", "gold"]) == 0
+    assert report.read_text(encoding="utf-8").startswith("dataset_id: gold\n")

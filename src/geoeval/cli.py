@@ -182,18 +182,32 @@ def _read_operator_file(what: str, path: str, parse):
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file, also when it does not exist yet."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def _refuse_output_over_input(args: argparse.Namespace) -> None:
-    """Refuse a command whose output flag names the same file as one of its inputs."""
+    """Refuse an output flag that names an input file, a file under --gold, or another output's file."""
     outputs = ["out", "csv"]
     inputs = ["dump", "pred", "pred_b", "lexicon", "blocklist", "config"]
     # ingest writes its --cache; every other command reads it.
     (outputs if args.command == "ingest" else inputs).append("cache")
-    for out in outputs:
+    given = [(out, getattr(args, out)) for out in outputs if getattr(args, out, None)]
+    gold = os.path.realpath(args.gold) if getattr(args, "gold", None) else None
+    for k, (out, path) in enumerate(given):
+        for first, first_path in given[:k]:
+            if _same_file(first_path, path):
+                raise InputError(f"--{first} {first_path} and --{out} {path} name one file")
+        if gold and os.path.commonpath([os.path.realpath(path), gold]) == gold:
+            raise InputError(f"--{out} {path} would write inside the input --gold {args.gold}")
         for inp in inputs:
-            paths = getattr(args, out, None), getattr(args, inp, None)
-            if all(paths) and all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+            inp_path = getattr(args, inp, None)
+            if inp_path and _same_file(path, inp_path):
                 flag = "--" + inp.replace("_", "-")
-                raise InputError(f"--{out} {paths[0]} would write over the input {flag} {paths[1]}")
+                raise InputError(f"--{out} {path} would write over the input {flag} {inp_path}")
 
 
 def _load_gold(path: str) -> list[corpus.Document]:

@@ -17,7 +17,6 @@ Three file formats live here:
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import os
 import re
@@ -403,7 +402,12 @@ def apply_exclusion_policy(docs: Iterable[Document], index: GazetteerIndex) -> E
                 excluded.append(ExcludedAnnotation(doc.doc_id, ann, EXCLUDED_NOT_IN_GAZETTEER))
                 continue
             if ann.coord is None:
-                ann = dataclasses.replace(ann, coord=entry.coord)
+                # Built directly: dataclasses.replace costs about twice as much.
+                ann = ToponymAnnotation(
+                    start=ann.start, end=ann.end, surface=ann.surface, toponym_type=ann.toponym_type,
+                    modifier_type=ann.modifier_type, non_locational=ann.non_locational,
+                    gazetteer_id=ann.gazetteer_id, coord=entry.coord,
+                )
             elif (
                 abs(ann.coord.lat - entry.coord.lat) > COORD_AGREEMENT_DEG
                 or abs(ann.coord.lon - entry.coord.lon) > COORD_AGREEMENT_DEG

@@ -8,11 +8,13 @@ checksum, so repeated evaluations skip re-parsing the dump.
 
 from __future__ import annotations
 
+import bisect
 import gc
 import hashlib
 import logging
 import math
 import pickle
+import re
 from array import array
 from dataclasses import astuple, dataclass
 from typing import Iterable, Optional
@@ -87,9 +89,9 @@ class GazetteerIndex:
         self.version = version
         self.summary = summary
         self.feature_classes = frozenset(feature_classes) if feature_classes is not None else None
-        # Case-folded name -> x, y, z columns of its candidates' unit vectors,
-        # aligned with lookup(name); filled by nearest_entry on first use.
-        self._unit_vectors: dict[str, tuple[array, array, array]] = {}
+        # Memos filled on first use by by_latitude and max_tokens_by_first_token.
+        self._by_latitude: dict[str, tuple[tuple[GazetteerEntry, ...], array, array]] = {}
+        self._max_tokens: dict[re.Pattern, dict[str, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,6 +113,37 @@ class GazetteerIndex:
         ascending id); empty when the name is unknown.
         """
         return self._name_map.get(name.casefold(), ())
+
+    def by_latitude(self, name: str) -> tuple[tuple[GazetteerEntry, ...], array, array]:
+        """`name`'s candidates in ascending latitude, for nearest_entry.
+
+        Returns (entries, their latitudes in radians, their unit vectors as
+        one flat x, y, z array), memoised per case-folded name; equal
+        latitudes keep the lookup ranking.
+        """
+        key = name.casefold()
+        found = self._by_latitude.get(key)
+        if found is None:
+            ordered = tuple(sorted(self._name_map.get(key, ()), key=lambda e: e.coord.lat))
+            lats = array("d", [math.radians(e.coord.lat) for e in ordered])
+            xyz = array("d", [c for e in ordered for c in _unit_vector(e.coord)])
+            found = self._by_latitude[key] = (ordered, lats, xyz)
+        return found
+
+    def max_tokens_by_first_token(self, token: re.Pattern) -> dict[str, int]:
+        """Each case-folded name's first token -> the most tokens of any name it starts.
+
+        A name's tokens are the matches of `token` in its case-folded form;
+        names without one are left out. Memoised per pattern.
+        """
+        found = self._max_tokens.get(token)
+        if found is None:
+            found = self._max_tokens[token] = {}
+            for key in self._name_map:
+                tokens = token.findall(key)
+                if tokens and len(tokens) > found.get(tokens[0], 0):
+                    found[tokens[0]] = len(tokens)
+        return found
 
 
 def parse_geonames_line(line: str) -> Optional[GazetteerEntry]:
@@ -212,6 +245,10 @@ def load_cache(path: str) -> GazetteerIndex:
     """The cached index, every row validated; GazetteerError when the file is unusable."""
     # The rows, entries and coordinates are acyclic, so a collection while
     # they are allocated would free nothing: pause the cyclic collector.
+    # The loaded index is long-lived, so once it is built it is frozen (with
+    # every object alive then) out of the collector's later scans, which
+    # would otherwise walk all of its objects again in each generation. A
+    # frozen object is still freed when its last reference goes.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -224,7 +261,9 @@ def load_cache(path: str) -> GazetteerIndex:
             for eid, name, alts, lat, lon, pop, fclass, fcode, country in rows
         ]
         del rows  # freed before the index is built
-        return GazetteerIndex(entries, checksum, IngestSummary(*counts), classes)
+        index = GazetteerIndex(entries, checksum, IngestSummary(*counts), classes)
+        gc.freeze()
+        return index
     # A crafted length field gives OverflowError or MemoryError before anything is read.
     except (OSError, pickle.UnpicklingError, EOFError, TypeError, ValueError, AttributeError,
             OverflowError, MemoryError) as exc:
@@ -279,20 +318,37 @@ _NEAR_DOT = 1e-9
 def nearest_entry(index: GazetteerIndex, name: str, coord: Coordinate) -> Optional[GazetteerEntry]:
     """The same-name candidate closest to `coord` by haversine distance; ties break to lower id.
 
-    The dot product of unit vectors only pre-selects: the candidates within
-    _NEAR_DOT of the largest one are measured by great_circle_distance, so
-    the answer is the haversine minimum over all candidates.
+    Candidates are visited outward from `coord`'s latitude, the smaller
+    latitude gap first. The dot product of two unit vectors is at most the
+    cosine of their latitude gap, so the walk stops once that cosine falls
+    more than _NEAR_DOT below the largest dot product seen: no candidate
+    left can come near it. The dot product only pre-selects: the visited
+    candidates within _NEAR_DOT of the largest one are measured by
+    great_circle_distance, so the answer is the haversine minimum over all
+    candidates.
     """
-    candidates = index.lookup(name)
-    if not candidates:
+    if not index.lookup(name):  # keeps unknown names out of the by_latitude memo
         return None
-    key = name.casefold()
-    columns = index._unit_vectors.get(key)
-    if columns is None:
-        columns = tuple(array("d", axis) for axis in zip(*(_unit_vector(e.coord) for e in candidates)))
-        index._unit_vectors[key] = columns
+    ordered, lats, xyz = index.by_latitude(name)
+    lat = math.radians(coord.lat)
     qx, qy, qz = _unit_vector(coord)
-    dots = [qx * x + qy * y + qz * z for x, y, z in zip(*columns)]
-    cutoff = max(dots) - _NEAR_DOT
-    near = [e for e, dot in zip(candidates, dots) if dot >= cutoff]
+    hi = bisect.bisect_left(lats, lat)
+    lo = hi - 1
+    best = -2.0
+    seen: list[tuple[float, int]] = []
+    while lo >= 0 or hi < len(lats):
+        if hi == len(lats) or (lo >= 0 and lat - lats[lo] <= lats[hi] - lat):
+            j, gap = lo, lat - lats[lo]
+            lo -= 1
+        else:
+            j, gap = hi, lats[hi] - lat
+            hi += 1
+        if math.cos(gap) < best - _NEAR_DOT:
+            break
+        dot = qx * xyz[3 * j] + qy * xyz[3 * j + 1] + qz * xyz[3 * j + 2]
+        seen.append((dot, j))
+        if dot > best:
+            best = dot
+    cutoff = best - _NEAR_DOT
+    near = [ordered[j] for dot, j in seen if dot >= cutoff]
     return min(near, key=lambda e: (great_circle_distance(e.coord, coord), e.id))

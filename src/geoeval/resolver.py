@@ -10,13 +10,13 @@ systems built on different databases.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .corpus import PredictionRecord
 from .gazetteer import GazetteerIndex, nearest_entry
+from .geodesy import Coordinate
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +37,17 @@ class AlignmentResult:
     records: list[PredictionRecord]
     n_aligned: int
     flagged: list[int]  # indices of records with no same-name candidate
+
+
+def _with_coord(rec: PredictionRecord, coord: Coordinate) -> PredictionRecord:
+    """`rec` with other predicted coordinates, validated again by the constructor.
+
+    Built directly: `dataclasses.replace` costs about twice as much per record.
+    """
+    return PredictionRecord(
+        doc_id=rec.doc_id, start=rec.start, end=rec.end, surface=rec.surface,
+        predicted_label=rec.predicted_label, predicted_coord=coord,
+    )
 
 
 def load_lexicon(lines: Iterable[str]) -> dict[str, str]:
@@ -90,7 +101,7 @@ def resolve_population(
             out.append(rec)
             continue
         best = candidates[0]
-        out.append(dataclasses.replace(rec, predicted_coord=best.coord))
+        out.append(_with_coord(rec, best.coord))
         n_resolved += 1
     return ResolutionResult(records=out, n_resolved=n_resolved, n_unresolved=len(out) - n_resolved)
 
@@ -117,5 +128,5 @@ def align_to_gazetteer(
             out.append(rec)
             flagged.append(i)
             continue
-        out.append(dataclasses.replace(rec, predicted_coord=entry.coord))
+        out.append(_with_coord(rec, entry.coord))
     return AlignmentResult(records=out, n_aligned=len(out) - len(flagged), flagged=flagged)

@@ -55,16 +55,29 @@ def gazetteer_tag(
     Longest match wins at each position; matching resumes after the end
     of an emitted span, so spans never overlap. Matches whose case-folded
     surface is blocklisted are suppressed.
+
+    A position is probed only when its case-folded token starts a
+    gazetteer name, and only up to that name's token count. That is exact
+    when case folding keeps every token whole (a name's folded tokens are
+    then a surface's raw tokens, folded); a document where it does not
+    (`İ` folds to `i` plus a combining dot, U+0345 to a letter) is probed
+    at every position for every n-gram length.
     """
     if max_ngram < 1:
         raise ValueError("max_ngram must be >= 1")
     blocked = blocklist or frozenset()
     tokens = token_spans(doc.text)
+    folded = [doc.text[start:end].casefold() for start, end in tokens]
+    if folded == _TOKEN.findall(doc.text.casefold()):
+        max_tokens = index.max_tokens_by_first_token(_TOKEN)
+        limits = [max_tokens.get(token, 0) for token in folded]
+    else:
+        limits = [max_ngram] * len(tokens)
     records: list[PredictionRecord] = []
     i = 0
     while i < len(tokens):
         matched = False
-        for n in range(min(max_ngram, len(tokens) - i), 0, -1):
+        for n in range(min(max_ngram, len(tokens) - i, limits[i]), 0, -1):
             start = tokens[i][0]
             end = tokens[i + n - 1][1]
             surface = doc.text[start:end]

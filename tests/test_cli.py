@@ -655,6 +655,33 @@ def test_an_output_over_an_input_is_refused(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval-tagging", "--gold", "{gold}", "--pred", "{pred}", "--out", "{gold}/doc1.txt"],
+         "--out {gold}/doc1.txt would write inside the input --gold {gold}"),
+        (["baseline", "--gold", "{gold}", "--cache", "{cache}", "--oracle-ner", "--out", "{gold}/new.pred"],
+         "--out {gold}/new.pred would write inside the input --gold {gold}"),
+        (["eval-tagging", "--gold", "{gold}", "--pred", "{pred}", "--out", "{report}", "--csv", "{report}"],
+         "--out {report} and --csv {report} name one file"),
+        (["eval-tagging", "--gold", "{gold}", "--pred", "{pred}", "--out", "{report}",
+          "--csv", "{gold}/../r.txt"],
+         "--out {report} and --csv {gold}/../r.txt name one file"),
+    ],
+    ids=["eval-out-over-a-gold-document", "baseline-out-into-gold", "out-and-csv-one-new-file",
+         "out-and-csv-one-file-spelt-twice"],
+)
+def test_an_output_inside_gold_or_named_twice_is_refused(tmp_path, capsys, argv, message):
+    paths = {"gold": build_corpus(tmp_path), "cache": build_cache(tmp_path)[1],
+             "pred": tmp_path / "p.pred", "report": tmp_path / "r.txt"}
+    paths["pred"].write_text("doc1\t0\t5\tParis\tLocation\t48.8566\t2.3522\n", encoding="utf-8")
+    gold = {f.name: f.read_bytes() for f in paths["gold"].iterdir()}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert message.format(**paths) in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in paths["gold"].iterdir()} == gold
+    assert not paths["report"].exists()
+
+
+@pytest.mark.parametrize(
     "what, argv",
     [
         ("predictions", ["eval-tagging", "--gold", "{gold}", "--pred", "{bad}", "--out", "{out}"]),

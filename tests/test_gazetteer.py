@@ -1,9 +1,12 @@
 import gc
+import math
 import os
 import pickle
 import random
+import re
 import tempfile
 import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -401,6 +404,34 @@ def test_load_cache_leaves_the_collector_as_it_found_it(tmp_path, toy_index, goo
         (gc.enable if was_enabled else gc.disable)()
 
 
+def test_a_cycle_made_after_load_cache_is_collected(tmp_path, toy_index):
+    cache = tmp_path / "toy.cache"
+    save_cache(toy_index, str(cache))
+    frozen = gc.get_freeze_count()
+    loaded = load_cache(str(cache))
+    assert gc.get_freeze_count() > frozen  # the loaded index left the collector's scans
+
+    class Node:
+        pass
+
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
+    assert loaded.lookup("paris")
+
+
+def test_a_refused_cache_freezes_nothing(tmp_path):
+    cache = tmp_path / "bad.cache"
+    cache.write_bytes(b"not a pickle")
+    frozen = gc.get_freeze_count()
+    with pytest.raises(GazetteerError):
+        load_cache(str(cache))
+    assert gc.get_freeze_count() == frozen
+
+
 def test_load_or_ingest_cache_hit(tmp_path):
     dump = tmp_path / "dump.tsv"
     dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
@@ -569,6 +600,77 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
     for _ in range(3):  # the first query fills the unit-vector memo, later ones read it
         query = point()
         assert nearest_entry(index, "ALPHA", query).id == _nearest_oracle(index.lookup("alpha"), query).id
+
+
+def _alpha_index(coords):
+    entries = [
+        gazetteer.GazetteerEntry(eid, "Alpha", frozenset(), Coordinate(lat, lon), 0, "P", "PPL", "US")
+        for eid, (lat, lon) in enumerate(coords, start=1)
+    ]
+    return gazetteer.GazetteerIndex(entries, "v", gazetteer.IngestSummary(), None)
+
+
+@pytest.mark.parametrize(
+    "coords, query, want",
+    [
+        # At a pole every longitude is one point, but rounding leaves haversine
+        # distances that differ with longitude by under 1e-12 km: the answer
+        # follows them, as the oracle does.
+        ([(89.0, -60.0), (90.0, 120.0), (90.0, 0.0)], (90.0, -45.0), 3),
+        ([(-89.5, 170.0), (-90.0, 10.0), (-89.5, -10.0)], (-89.9, -170.0), 2),
+        ([(-89.5, 170.0), (-89.0, 10.0), (-89.5, -10.0)], (-90.0, 0.0), 3),
+        # Across the antimeridian, 179.9 and -179.9 are 0.2 degrees apart.
+        ([(10.0, 170.0), (10.0, 179.9), (10.0, -179.9)], (10.0, -179.99), 3),
+        ([(0.5, 0.0), (0.0, 179.0), (0.0, -179.5)], (0.0, 179.8), 3),
+        # Every candidate on one latitude, so the window cannot stop early.
+        ([(45.0, float(lon)) for lon in range(-180, 180, 30)], (45.0, 95.0), 10),
+        ([(45.0, float(lon)) for lon in range(-180, 180, 30)], (-45.0, -175.0), 1),
+        # Equal latitudes at different longitudes, on both sides of the query.
+        ([(21.0, 0.0), (20.0, -10.0), (20.0, 30.0), (20.0, 9.0), (19.0, 5.0)], (20.0, 5.0), 5),
+        ([(20.0, 10.0), (20.0, -10.0), (20.0, 50.0)], (20.0, 0.0), 1),
+    ],
+    ids=["north-pole", "south-pole", "query-at-south-pole", "antimeridian-east",
+         "antimeridian-west", "one-latitude", "one-latitude-far", "equal-latitudes", "equidistant-tie"],
+)
+def test_nearest_entry_edge_cases_agree_with_the_haversine_minimum(coords, query, want):
+    index = _alpha_index(coords)
+    query = Coordinate(*query)
+    assert nearest_entry(index, "alpha", query).id == want
+    assert _nearest_oracle(index.lookup("alpha"), query).id == want
+
+
+@given(
+    coords=st.lists(
+        st.tuples(st.sampled_from([-90.0, -45.0, -0.5, 0.0, 0.5, 45.0, 89.9, 90.0]),
+                  st.floats(-180, 180)),
+        min_size=1, max_size=40,
+    ),
+    queries=st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_nearest_entry_over_shared_latitudes_agrees_with_the_haversine_minimum(coords, queries):
+    index = _alpha_index(coords)
+    for lat, lon in queries:
+        query = Coordinate(lat, lon)
+        assert nearest_entry(index, "Alpha", query).id == _nearest_oracle(index.lookup("alpha"), query).id
+
+
+def test_by_latitude_orders_the_candidates_and_is_memoised(toy_index):
+    ordered, lats, xyz = toy_index.by_latitude("MELBOURNE")
+    assert [e.id for e in ordered] == [1001, 1002]
+    assert list(lats) == [math.radians(-37.8136), math.radians(28.0836)]
+    assert len(xyz) == 6
+    assert toy_index.by_latitude("melbourne")[0] is ordered
+    assert toy_index.by_latitude("Nowhereville") == ((), array("d"), array("d"))
+
+
+def test_max_tokens_by_first_token(toy_index):
+    token = re.compile(r"[^\W_]+")
+    found = toy_index.max_tokens_by_first_token(token)
+    assert found["waldo"] == 3  # "Waldo" and "Waldo County Jail"
+    assert found["russian"] == 2 and found["russia"] == 1
+    assert "county" not in found
+    assert toy_index.max_tokens_by_first_token(token) is found
 
 
 malformed_lines = st.sampled_from([

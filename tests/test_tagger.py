@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geoeval.corpus import Document, ToponymAnnotation, apply_exclusion_policy, gold_spans
+from geoeval.corpus import Document, PredictionRecord, ToponymAnnotation, apply_exclusion_policy, gold_spans
+from geoeval.gazetteer import GazetteerEntry, GazetteerIndex, IngestSummary
+from geoeval.geodesy import Coordinate
 from geoeval.metrics import MatchMode, f_score, match_spans
 from geoeval.tagger import (
     DEFAULT_BLOCKLIST,
@@ -72,6 +76,110 @@ def test_spans_never_overlap(toy_index):
 def test_max_ngram_validation(toy_index):
     with pytest.raises(ValueError):
         gazetteer_tag(Document("d", "x", []), toy_index, max_ngram=0)
+
+
+def _tag_every_position(doc, index, blocklist=DEFAULT_BLOCKLIST, max_ngram=4):
+    """The tagger before the first-token map: every n-gram probed at every position."""
+    blocked = blocklist or frozenset()
+    tokens = token_spans(doc.text)
+    records = []
+    i = 0
+    while i < len(tokens):
+        matched = False
+        for n in range(min(max_ngram, len(tokens) - i), 0, -1):
+            start = tokens[i][0]
+            end = tokens[i + n - 1][1]
+            surface = doc.text[start:end]
+            key = surface.casefold()
+            if key in blocked or not index.lookup(key):
+                continue
+            records.append(PredictionRecord(doc.doc_id, start, end, surface, "Location"))
+            i += n
+            matched = True
+            break
+        if not matched:
+            i += 1
+    return records
+
+
+def _index_of(names):
+    entries = [
+        GazetteerEntry(eid, name, frozenset(), Coordinate(0.0, 0.0), 0, "P", "PPL", "US")
+        for eid, name in enumerate(names, start=1)
+    ]
+    return GazetteerIndex(entries, "v", IngestSummary(), None)
+
+
+# Characters whose case folding is not one token: İ folds to i plus a
+# combining dot (not a token character), U+0345 (not a token character)
+# folds to the letter ι, ß to ss, ς to σ, ﬁ to fi.
+_WORDS = ["İzmir", "i\u0307zmir", "Izmir", "a\u0345b", "aιb", "ab", "a", "b", "Straße", "strasse",
+          "Σοφος", "σοφοσ", "ﬁle", "file", "Stratford-upon-Avon", "upon", "Avon", "O'Hare", "hare",
+          "nice", "of", "new", "New York", "York", "İ", "i", "x"]
+_SEPARATORS = [" ", "  ", "-", "'", ", ", "\u0345", "\u0307", "_", ""]
+
+
+@st.composite
+def _tagging_case(draw):
+    words = draw(st.lists(st.sampled_from(_WORDS), max_size=12))
+    text = "".join(w + draw(st.sampled_from(_SEPARATORS)) for w in words)
+    names = draw(st.lists(
+        st.one_of(st.sampled_from(_WORDS),
+                  st.builds(" ".join, st.lists(st.sampled_from(_WORDS), min_size=2, max_size=4))),
+        min_size=1, max_size=10,
+    ))
+    # N-grams of the text itself, so that multi-token names hit.
+    tokens = token_spans(text)
+    for _ in range(draw(st.integers(0, 3)) if tokens else 0):
+        i = draw(st.integers(0, len(tokens) - 1))
+        n = draw(st.integers(1, min(4, len(tokens) - i)))
+        names.append(text[tokens[i][0]:tokens[i + n - 1][1]])
+    blocklist = frozenset(w.casefold() for w in draw(st.lists(st.sampled_from(_WORDS), max_size=3)))
+    return text, names, blocklist, draw(st.integers(1, 4))
+
+
+@given(case=_tagging_case())
+@settings(max_examples=400, deadline=None)
+def test_gazetteer_tag_agrees_with_probing_every_position(case):
+    text, names, blocklist, max_ngram = case
+    doc = Document("d", text, [])
+    index = _index_of(names)
+    assert gazetteer_tag(doc, index, blocklist, max_ngram) == _tag_every_position(doc, index, blocklist, max_ngram)
+
+
+@pytest.mark.parametrize(
+    "text, name, surface",
+    [
+        # One raw token whose folded form is two tokens ("i", "zmir").
+        ("Flights to İzmir resumed.", "İzmir", "İzmir"),
+        # Two raw tokens whose folded form is one token ("aιb").
+        ("x a\u0345b y", "aιb", "a\u0345b"),
+    ],
+    ids=["fold-splits-a-token", "fold-joins-two-tokens"],
+)
+def test_a_document_whose_tokens_change_under_folding_is_probed_in_full(text, name, surface):
+    records = gazetteer_tag(Document("d", text, []), _index_of([name]))
+    assert [r.surface for r in records] == [surface]
+
+
+def test_only_positions_that_start_a_name_are_probed(toy_index):
+    probes = []
+
+    class CountingIndex:
+        def __init__(self, index):
+            self._index = index
+
+        def lookup(self, name):
+            probes.append(name)
+            return self._index.lookup(name)
+
+        def __getattr__(self, name):
+            return getattr(self._index, name)
+
+    doc = Document("d", "Escape from Waldo County Jail to Paris today.", [])
+    records = gazetteer_tag(doc, CountingIndex(toy_index))
+    assert [r.surface for r in records] == ["Waldo County Jail", "Paris"]
+    assert probes == ["waldo county jail", "paris"]
 
 
 def _doc_with_gold(doc_id, text, surfaces_and_ids):

@@ -94,13 +94,12 @@ def resolve_population(
         name = rec.surface
         if lexicon is not None:
             name = lexicon.get(name.casefold(), name)
-        candidates = index.lookup(name)
-        # lookup() is ranked by descending population then ascending id, so
-        # the head is the heuristic's pick, and if it is unpopulated, all are.
-        if not candidates or (populated_only and candidates[0].population == 0):
+        # The most populous candidate is the heuristic's pick, and if it is
+        # unpopulated, all are.
+        best = index.top(name)
+        if best is None or (populated_only and best.population == 0):
             out.append(rec)
             continue
-        best = candidates[0]
         out.append(_with_coord(rec, best.coord))
         n_resolved += 1
     return ResolutionResult(records=out, n_resolved=n_resolved, n_unresolved=len(out) - n_resolved)

@@ -82,7 +82,7 @@ def gazetteer_tag(
             end = tokens[i + n - 1][1]
             surface = doc.text[start:end]
             key = surface.casefold()
-            if key in blocked or not index.lookup(key):
+            if key in blocked or not index.has_name(key):
                 continue
             records.append(
                 PredictionRecord(

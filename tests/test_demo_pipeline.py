@@ -2,10 +2,10 @@
 
 Builds the demo dataset with scripts/make_demo_data.py, runs every step of
 scripts/run_demo_pipeline.py and compares the text reports, the paired
-significance-test stdout lines, the augmented sentences and the augment
-summary lines byte for byte with the files under tests/data/. A change to
-any metric, report line, test statistic or augmented sentence on the demo
-data shows up here.
+significance-test stdout lines, the augmented sentences, the augment
+summary lines and the gazetteer cache byte for byte with the files under
+tests/data/. A change to any metric, report line, test statistic,
+augmented sentence or cache byte on the demo data shows up here.
 """
 
 import os
@@ -42,6 +42,7 @@ def test_demo_reports_match_golden_files(tmp_path):
     assert (out / "tagging.report").read_bytes() == _golden("demo_tagging.report")
     assert (out / "geocoding.report").read_bytes() == _golden("demo_geocoding.report")
     assert (out / "augmented.conll").read_bytes() == _golden("demo_augmented.conll")
+    assert (out / "gazetteer.cache").read_bytes() == _golden("demo_gazetteer.cache")
     lines = stdout.splitlines(keepends=True)
     stat_lines = b"".join(line for line in lines if line.startswith((b"mcnemar:", b"wilcoxon:")))
     assert stat_lines == _golden("demo_stat_lines.txt")

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoeval import cli, gazetteer
+from geoeval.corpus import Document, PredictionRecord, ToponymAnnotation
 from geoeval.gazetteer import (
     GazetteerError,
     dump_checksum,
@@ -25,6 +26,10 @@ from geoeval.gazetteer import (
     save_cache,
 )
 from geoeval.geodesy import Coordinate, great_circle_distance
+from geoeval.metrics import MatchMode, evaluate, render_report
+from geoeval.resolver import align_to_gazetteer, resolve_population
+from geoeval.tagger import gazetteer_tag
+from geoeval.taxonomy import TaxonomyType
 
 from conftest import TOY_DUMP_LINES, geonames_line
 
@@ -101,6 +106,33 @@ def test_alternate_names_indexed(toy_index):
 def test_no_diacritic_stripping(toy_index):
     assert [e.id for e in toy_index.lookup("münster")] == [1013]
     assert toy_index.lookup("munster") == ()
+
+
+def test_names_that_differ_only_by_case_give_an_entry_once():
+    index = ingest(
+        [
+            geonames_line(1, "Paris", 48.8, 2.3, population=5, alternates="PARIS,paris,Lutetia"),
+            geonames_line(2, "Paris", 33.6, -95.5, population=3),
+        ]
+    )
+    assert [e.id for e in index.lookup("paris")] == [1, 2]
+    assert [e.id for e in index.lookup("LUTETIA")] == [1]
+    assert index.by_latitude("Paris")[0] == (2, 1)
+
+
+def test_has_name_and_top(toy_index):
+    assert toy_index.has_name("MELBOURNE") and toy_index.has_name("russian federation")
+    assert not toy_index.has_name("atlantis")
+    assert toy_index.top("melbourne").id == 1001  # AU (4M) before FL (80k)
+    assert toy_index.top("Russian Federation").id == 1009
+    assert toy_index.top("atlantis") is None
+    tied = ingest(
+        [
+            geonames_line(9, "Twinsburg", 1.0, 1.0, population=5),
+            geonames_line(3, "Twinsburg", 2.0, 2.0, population=5),
+        ]
+    )
+    assert tied.top("twinsburg").id == 3
 
 
 def test_malformed_lines_skipped_and_counted():
@@ -289,10 +321,12 @@ def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys
     _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump)
 
 
-def _with_row_field(rows, field, value):
-    first = list(rows[0])
-    first[field] = value
-    return [tuple(first)] + rows[1:]
+def _with_row_field(rows, field, value, at=0):
+    changed = list(rows)
+    row = list(changed[at])
+    row[field] = value
+    changed[at] = tuple(row)
+    return changed
 
 
 @pytest.mark.parametrize(
@@ -304,9 +338,18 @@ def _with_row_field(rows, field, value):
         lambda rows: [rows[0][:8]] + rows[1:],
         lambda rows: _with_row_field(rows, 1, 1001),
         lambda rows: _with_row_field(rows, 2, (None,)),
+        lambda rows: _with_row_field(rows, 4, float("nan")),
+        # The row check runs on every row as the cache loads, not when a query
+        # first reaches the row: a bad last row, and a bad row under a name
+        # that nothing asks for, are refused by load_cache itself.
+        lambda rows: _with_row_field(rows, 3, 999.0, at=-1),
+        lambda rows: _with_row_field(rows, 5, -1, at=-1),
+        lambda rows: _with_row_field(_with_row_field(rows, 1, "Unasked", at=5), 3, float("inf"), at=5),
+        lambda rows: _with_row_field(_with_row_field(rows, 1, "Unasked", at=5), 0, 1012.5, at=5),
     ],
     ids=["latitude-999", "string-population", "duplicate-id", "eight-fields",
-         "name-not-a-string", "alternate-not-a-string"],
+         "name-not-a-string", "alternate-not-a-string", "longitude-nan", "last-row-latitude-999",
+         "last-row-negative-population", "unasked-name-infinite-latitude", "unasked-name-float-id"],
 )
 def test_cache_with_a_bad_row_is_refused_and_rebuilt(tmp_path, capsys, make):
     dump, (fmt, checksum, classes, counts, rows) = _toy_payload(tmp_path)
@@ -399,6 +442,24 @@ def test_load_cache_leaves_the_collector_as_it_found_it(tmp_path, toy_index, goo
         else:
             with pytest.raises(GazetteerError):
                 load_cache(str(cache))
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_ingest_leaves_the_collector_as_it_found_it(collecting):
+    def unreadable_lines():
+        yield TOY_DUMP_LINES[0]
+        raise OSError("read error")
+
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert len(ingest(TOY_DUMP_LINES)) == len(TOY_DUMP_LINES)
+        assert gc.isenabled() is collecting
+        with pytest.raises(OSError):
+            ingest(unreadable_lines())
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -592,22 +653,20 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
     coords = [point() for _ in range(data.draw(st.integers(1, 12)))]
     # Ids are shuffled against coordinates, so the lower id is not also the first drawn.
     ids = data.draw(st.permutations(range(1, len(coords) + 1)))
-    entries = [
-        gazetteer.GazetteerEntry(eid, "Alpha", frozenset(), coord, data.draw(st.integers(0, 2)), "P", "PPL", "US")
+    rows = [
+        (eid, "Alpha", (), coord.lat, coord.lon, data.draw(st.integers(0, 2)), "P", "PPL", "US")
         for eid, coord in zip(ids, coords)
     ]
-    index = gazetteer.GazetteerIndex(entries, "v", gazetteer.IngestSummary(), None)
+    index = gazetteer.GazetteerIndex(rows, "v", gazetteer.IngestSummary(), None)
     for _ in range(3):  # the first query fills the unit-vector memo, later ones read it
         query = point()
         assert nearest_entry(index, "ALPHA", query).id == _nearest_oracle(index.lookup("alpha"), query).id
 
 
 def _alpha_index(coords):
-    entries = [
-        gazetteer.GazetteerEntry(eid, "Alpha", frozenset(), Coordinate(lat, lon), 0, "P", "PPL", "US")
-        for eid, (lat, lon) in enumerate(coords, start=1)
-    ]
-    return gazetteer.GazetteerIndex(entries, "v", gazetteer.IngestSummary(), None)
+    rows = [(eid, "Alpha", (), lat, lon, 0, "P", "PPL", "US")
+            for eid, (lat, lon) in enumerate(coords, start=1)]
+    return gazetteer.GazetteerIndex(rows, "v", gazetteer.IngestSummary(), None)
 
 
 @pytest.mark.parametrize(
@@ -657,7 +716,7 @@ def test_nearest_entry_over_shared_latitudes_agrees_with_the_haversine_minimum(c
 
 def test_by_latitude_orders_the_candidates_and_is_memoised(toy_index):
     ordered, lats, xyz = toy_index.by_latitude("MELBOURNE")
-    assert [e.id for e in ordered] == [1001, 1002]
+    assert list(ordered) == [1001, 1002]
     assert list(lats) == [math.radians(-37.8136), math.radians(28.0836)]
     assert len(xyz) == 6
     assert toy_index.by_latitude("melbourne")[0] is ordered
@@ -713,3 +772,108 @@ def test_load_cache_after_save_cache_gives_back_the_ingested_index(lines, classe
     all_names = {n for e in index.entries() for n in (e.canonical_name, *e.alternate_names)}
     for name in all_names | {"atlantis"}:
         assert [e.id for e in loaded.lookup(name)] == [e.id for e in index.lookup(name)]
+
+
+def test_load_cache_builds_no_entry_and_queries_build_each_once(tmp_path, toy_index, monkeypatch):
+    cache = tmp_path / "toy.cache"
+    save_cache(toy_index, str(cache))
+    built = []
+    post_init = gazetteer.GazetteerEntry.__post_init__
+
+    def counting_post_init(entry):
+        built.append(entry.id)
+        post_init(entry)
+
+    monkeypatch.setattr(gazetteer.GazetteerEntry, "__post_init__", counting_post_init)
+    loaded = load_cache(str(cache))
+    assert built == []
+    assert loaded.has_name("melbourne") and loaded.by_latitude("melbourne")[0] == (1001, 1002)
+    assert built == []
+    assert [e.id for e in loaded.lookup("Melbourne")] == [1001, 1002]
+    assert loaded.top("melbourne").id == 1001
+    assert nearest_entry(loaded, "melbourne", Coordinate(28.0, -80.0)).id == 1002
+    assert loaded.entry(1001).id == 1001
+    assert sorted(built) == [1001, 1002]
+
+
+@given(
+    fixture=entries_strategy,
+    order=st.permutations(["lookup", "top", "entry", "nearest", "entries"]),
+    lat=st.floats(min_value=-89, max_value=89),
+    lon=st.floats(min_value=-179, max_value=179),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_query_hands_out_one_object_per_entry(fixture, order, lat, lon):
+    index = _build(fixture)
+    seen = {}
+
+    def same(entry):
+        assert seen.setdefault(entry.id, entry) is entry
+
+    for query in order:  # whichever query builds an entry first, the others return it
+        for name in {name for name, _, _, _ in fixture}:
+            if query == "lookup":
+                for entry in index.lookup(name):
+                    same(entry)
+            elif query == "top":
+                same(index.top(name))
+            elif query == "nearest":
+                same(nearest_entry(index, name, Coordinate(lat, lon)))
+            elif query == "entry":
+                same(index.entry(index.top(name).id))
+        if query == "entries":
+            for entry in index.entries():
+                same(entry)
+    for name in {name for name, _, _, _ in fixture}:
+        assert index.lookup(name)[0] is index.entry(index.top(name).id) is index.top(name)
+
+
+_CORPUS_WORDS = ["Alpha", "alpha", "ÄLPHA", "Beta", "Gamma", "Straße", "STRASSE", "Zeta", "river", "of"]
+
+
+@st.composite
+def _scored_case(draw):
+    """A dump, gold documents linking to its ids (some dangling), and coordinates for system B."""
+    docs = []
+    for d in range(draw(st.integers(1, 3))):
+        words = draw(st.lists(st.sampled_from(_CORPUS_WORDS), min_size=1, max_size=10))
+        annotations = []
+        start = 0
+        for word in words:
+            if draw(st.booleans()):
+                annotations.append(ToponymAnnotation(
+                    start, start + len(word), word, draw(st.sampled_from(list(TaxonomyType))),
+                    gazetteer_id=draw(st.one_of(st.none(), st.integers(1, 14))),
+                ))
+            start += len(word) + 1
+        docs.append(Document(f"d{d}", " ".join(words), annotations))
+    coords = draw(st.lists(st.tuples(st.floats(-89, 89), st.floats(-179, 179)), min_size=1, max_size=5))
+    return draw(dump_lines), docs, [Coordinate(lat, lon) for lat, lon in coords]
+
+
+def _reports(index, docs, coords, populated_only):
+    """Every report of the tag, resolve, align and score pipeline over `index`."""
+    tagged = [r for doc in docs for r in gazetteer_tag(doc, index)]
+    pred = resolve_population(tagged, index, populated_only=populated_only).records
+    moved = [
+        PredictionRecord(r.doc_id, r.start, r.end, r.surface, r.predicted_label, coords[i % len(coords)])
+        for i, r in enumerate(tagged)
+    ]
+    pred_b = align_to_gazetteer(moved, index).records
+    return [
+        render_report(evaluate(docs, pred, "d", index, mode, thresholds, pred_b))
+        for mode in (MatchMode.EXACT, MatchMode.OVERLAP)
+        for thresholds in (None, (161.0,))
+    ]
+
+
+@given(case=_scored_case(), populated_only=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_an_index_loaded_from_its_cache_scores_the_same_reports(case, populated_only):
+    lines, docs, coords = case
+    index = ingest(lines, version="sha256:test")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.cache")
+        save_cache(index, path)
+        loaded = load_cache(path)
+    assert _reports(loaded, docs, coords, populated_only) == _reports(index, docs, coords, populated_only)

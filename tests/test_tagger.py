@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoeval.corpus import Document, PredictionRecord, ToponymAnnotation, apply_exclusion_policy, gold_spans
-from geoeval.gazetteer import GazetteerEntry, GazetteerIndex, IngestSummary
-from geoeval.geodesy import Coordinate
+from geoeval.gazetteer import GazetteerIndex, IngestSummary
 from geoeval.metrics import MatchMode, f_score, match_spans
 from geoeval.tagger import (
     DEFAULT_BLOCKLIST,
@@ -103,11 +102,8 @@ def _tag_every_position(doc, index, blocklist=DEFAULT_BLOCKLIST, max_ngram=4):
 
 
 def _index_of(names):
-    entries = [
-        GazetteerEntry(eid, name, frozenset(), Coordinate(0.0, 0.0), 0, "P", "PPL", "US")
-        for eid, name in enumerate(names, start=1)
-    ]
-    return GazetteerIndex(entries, "v", IngestSummary(), None)
+    rows = [(eid, name, (), 0.0, 0.0, 0, "P", "PPL", "US") for eid, name in enumerate(names, start=1)]
+    return GazetteerIndex(rows, "v", IngestSummary(), None)
 
 
 # Characters whose case folding is not one token: İ folds to i plus a
@@ -169,9 +165,9 @@ def test_only_positions_that_start_a_name_are_probed(toy_index):
         def __init__(self, index):
             self._index = index
 
-        def lookup(self, name):
+        def has_name(self, name):
             probes.append(name)
-            return self._index.lookup(name)
+            return self._index.has_name(name)
 
         def __getattr__(self, name):
             return getattr(self._index, name)

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 import os
 
 import pytest
 
-from geoeval.cli import main
+from geoeval.cli import build_parser, main
 
 from conftest import TOY_DUMP_LINES, write_brat_doc
 
@@ -610,6 +611,77 @@ def test_help_exits_0(capsys):
         main(["folds", "--help"])
     assert exc.value.code == 0
     assert "--k K" in capsys.readouterr().out
+
+
+_EVAL_FLAGS = {
+    ("--gold",): ("gold", True, None, None, None),
+    ("--pred",): ("pred", True, None, None, None),
+    ("--pred-b",): ("pred_b", False, None, None, None),
+    ("--mode",): ("mode", False, "exact", ["exact", "overlap"], None),
+    ("--cache",): ("cache", False, None, None, None),
+    ("--out",): ("out", True, None, None, None),
+    ("--csv",): ("csv", False, None, None, None),
+    ("--dataset-id",): ("dataset_id", False, None, None, None),
+    ("--lenient",): ("lenient", False, False, None, True),
+}
+
+# Per subcommand (None: the top-level parser), every flag's option strings ->
+# (dest, required, default, choices, const); argparse's own -h/--help is left out.
+FLAG_SURFACE = {
+    None: {("--config",): ("config", False, None, None, None)},
+    "ingest": {
+        ("--dump",): ("dump", True, None, None, None),
+        ("--cache",): ("cache", True, None, None, None),
+        ("--feature-classes",): ("feature_classes", False, None, None, None),
+    },
+    "eval-tagging": _EVAL_FLAGS,
+    "eval-geocoding": {**_EVAL_FLAGS, ("--thresholds",): ("thresholds", False, "161", None, None)},
+    "baseline": {
+        ("--gold",): ("gold", True, None, None, None),
+        ("--cache",): ("cache", True, None, None, None),
+        ("--oracle-ner",): ("ner", False, None, None, "oracle"),
+        ("--dictionary-ner",): ("ner", False, None, None, "dictionary"),
+        ("--lexicon",): ("lexicon", False, None, None, None),
+        ("--blocklist",): ("blocklist", False, None, None, None),
+        ("--max-ngram",): ("max_ngram", False, 4, None, None),
+        ("--populated-only",): ("populated_only", False, False, None, True),
+        ("--out",): ("out", True, None, None, None),
+    },
+    "align": {
+        ("--pred",): ("pred", True, None, None, None),
+        ("--cache",): ("cache", True, None, None, None),
+        ("--out",): ("out", True, None, None, None),
+        ("--lenient",): ("lenient", False, False, None, True),
+    },
+    "folds": {
+        ("--gold",): ("gold", True, None, None, None),
+        ("--k",): ("k", False, 5, None, None),
+        ("--seed",): ("seed", False, 13, None, None),
+        ("--out",): ("out", True, None, None, None),
+    },
+    "augment": {
+        ("--gold",): ("gold", True, None, None, None),
+        ("--max-per-source",): ("max_per_source", False, 3, None, None),
+        ("--seed",): ("seed", False, 13, None, None),
+        ("--out",): ("out", True, None, None, None),
+    },
+}
+
+
+def test_every_flag_keeps_its_surface():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = {None: parser, **sub.choices}
+    assert list(parsers) == list(FLAG_SURFACE)
+    for command, p in parsers.items():
+        flags = {
+            tuple(a.option_strings): (a.dest, a.required, a.default, a.choices, a.const)
+            for a in p._actions if a.dest != "help" and a is not sub
+        }
+        assert flags == FLAG_SURFACE[command], command
+    groups = [(sorted(a.option_strings[0] for a in g._group_actions), g.required)
+              for p in sub.choices.values() for g in p._mutually_exclusive_groups]
+    assert groups == [(["--dictionary-ner", "--oracle-ner"], True)]
 
 
 def test_ingest_refuses_to_write_its_cache_over_its_dump(tmp_path, capsys):

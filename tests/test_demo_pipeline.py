@@ -3,9 +3,11 @@
 Builds the demo dataset with scripts/make_demo_data.py, runs every step of
 scripts/run_demo_pipeline.py and compares the text reports, the paired
 significance-test stdout lines, the augmented sentences, the augment
-summary lines and the gazetteer cache byte for byte with the files under
+summary lines, the gazetteer cache, the baseline and aligned prediction
+files, the fold plan, the summary CSV and the whole stdout (less the lines
+that name the output directory) byte for byte with the files under
 tests/data/. A change to any metric, report line, test statistic,
-augmented sentence or cache byte on the demo data shows up here.
+prediction, augmented sentence or cache byte on the demo data shows up here.
 """
 
 import os
@@ -43,8 +45,14 @@ def test_demo_reports_match_golden_files(tmp_path):
     assert (out / "geocoding.report").read_bytes() == _golden("demo_geocoding.report")
     assert (out / "augmented.conll").read_bytes() == _golden("demo_augmented.conll")
     assert (out / "gazetteer.cache").read_bytes() == _golden("demo_gazetteer.cache")
+    for name in ("oracle_population.pred", "dictionary_population.pred",
+                 "oracle_nudged_aligned.pred", "folds.json", "reports.csv"):
+        assert (out / name).read_bytes() == _golden("demo_" + name), name
     lines = stdout.splitlines(keepends=True)
     stat_lines = b"".join(line for line in lines if line.startswith((b"mcnemar:", b"wilcoxon:")))
     assert stat_lines == _golden("demo_stat_lines.txt")
     augment_lines = b"".join(line for line in lines if line.startswith((b"contexts:", b"heads:")))
     assert augment_lines == _golden("demo_augment_lines.txt")
+    # The step headers and the closing line name the (temporary) output directory.
+    pathless = b"".join(line for line in lines if not line.startswith((b"===", b"All steps finished")))
+    assert pathless == _golden("demo_stdout.txt")

@@ -39,78 +39,85 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+class _Input(str):
+    """The value of a path flag whose file the command reads."""
+
+
+class _InputDir(_Input):
+    """The value of a path flag naming a directory the command reads, files and all."""
+
+
+class _Output(str):
+    """The value of a path flag whose file the command writes."""
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # A path flag's type is its role, so values from --config get it too.
     parser = _Parser(prog=PROG, description=__doc__)
-    parser.add_argument("--config", help="JSON file with default values for any flag")
+    parser.add_argument("--config", type=_Input, help="JSON file with default values for any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="build and cache a gazetteer index")
-    p.add_argument("--dump", required=True, help="Geonames-format tab-separated dump")
-    p.add_argument("--cache", required=True, help="binary cache file to write/reuse")
+    p.add_argument("--dump", required=True, type=_Input, help="Geonames-format tab-separated dump")
+    p.add_argument("--cache", required=True, type=_Output, help="binary cache file to write/reuse")
     p.add_argument("--feature-classes", type=_feature_classes,
                    help="comma-separated feature classes to keep (default all)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("eval-tagging", help="score span extraction with precision/recall/F")
-    p.add_argument("--gold", required=True, help="directory of BRAT .txt/.ann pairs")
-    p.add_argument("--pred", required=True, help="prediction file")
-    p.add_argument("--pred-b", help="second prediction file: adds a McNemar comparison")
-    p.add_argument("--mode", choices=["exact", "overlap"], default="exact")
-    p.add_argument("--cache", help="gazetteer cache; enables the exclusion policy")
-    p.add_argument("--out", required=True, help="report file to write")
-    p.add_argument("--csv", help="CSV file to append a summary row to")
-    p.add_argument("--dataset-id")
-    p.add_argument("--lenient", action="store_true", help="skip malformed prediction lines")
-    p.set_defaults(func=cmd_eval_tagging)
-
-    p = sub.add_parser("eval-geocoding", help="score resolution with acc@X km, AUC, mean error")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--pred-b", help="second prediction file: adds a Wilcoxon comparison")
-    p.add_argument("--thresholds", type=_thresholds, default=f"{metrics.DEFAULT_THRESHOLD_KM:g}",
-                   help="comma-separated km thresholds (default %(default)s)")
-    p.add_argument("--mode", choices=["exact", "overlap"], default="exact")
-    p.add_argument("--cache", help="gazetteer cache; enables exclusion and coordinate fill")
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv", help="CSV file to append a summary row to")
-    p.add_argument("--dataset-id")
-    p.add_argument("--lenient", action="store_true")
-    p.set_defaults(func=cmd_eval_geocoding)
+    for command, summary, test in [
+        ("eval-tagging", "score span extraction with precision/recall/F", "McNemar"),
+        ("eval-geocoding", "score resolution with acc@X km, AUC, mean error", "Wilcoxon"),
+    ]:
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--gold", required=True, type=_InputDir, help="directory of BRAT .txt/.ann pairs")
+        p.add_argument("--pred", required=True, type=_Input, help="prediction file")
+        p.add_argument("--pred-b", type=_Input, help=f"second prediction file: adds a {test} comparison")
+        if command == "eval-geocoding":
+            p.add_argument("--thresholds", type=_thresholds, default=f"{metrics.DEFAULT_THRESHOLD_KM:g}",
+                           help="comma-separated km thresholds (default %(default)s)")
+        p.add_argument("--mode", choices=["exact", "overlap"], default="exact")
+        p.add_argument("--cache", type=_Input,
+                       help="gazetteer cache; enables the exclusion policy and gold coordinate fill")
+        p.add_argument("--out", required=True, type=_Output, help="report file to write")
+        p.add_argument("--csv", type=_Output, help="CSV file to append a summary row to")
+        p.add_argument("--dataset-id", help="dataset id in the report (default the --gold directory's name)")
+        p.add_argument("--lenient", action="store_true", help="skip malformed prediction lines")
+        p.set_defaults(func=_evaluate)
 
     p = sub.add_parser("baseline", help="run a baseline tagger plus the population resolver")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--cache", required=True, help="gazetteer cache built by ingest")
+    p.add_argument("--gold", required=True, type=_InputDir)
+    p.add_argument("--cache", required=True, type=_Input, help="gazetteer cache built by ingest")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--oracle-ner", dest="ner", action="store_const", const="oracle",
                       help="copy gold spans (post-exclusion)")
     mode.add_argument("--dictionary-ner", dest="ner", action="store_const", const="dictionary",
                       help="gazetteer n-gram tagger")
-    p.add_argument("--lexicon", help="normalization lexicon (surface<TAB>canonical)")
-    p.add_argument("--blocklist", help="file of surfaces to suppress, one per line")
+    p.add_argument("--lexicon", type=_Input, help="normalization lexicon (surface<TAB>canonical)")
+    p.add_argument("--blocklist", type=_Input, help="file of surfaces to suppress, one per line")
     p.add_argument("--max-ngram", type=int, default=tagger.DEFAULT_MAX_NGRAM)
     p.add_argument("--populated-only", action="store_true")
-    p.add_argument("--out", required=True, help="prediction file to write")
+    p.add_argument("--out", required=True, type=_Output, help="prediction file to write")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("align", help="snap predicted coordinates to gazetteer entries")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--pred", required=True, type=_Input)
+    p.add_argument("--cache", required=True, type=_Input)
+    p.add_argument("--out", required=True, type=_Output)
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("folds", help="deal documents into cross-validation folds")
-    p.add_argument("--gold", required=True)
+    p.add_argument("--gold", required=True, type=_InputDir)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--out", required=True, help="JSON fold plan to write")
+    p.add_argument("--out", required=True, type=_Output, help="JSON fold plan to write")
     p.set_defaults(func=cmd_folds)
 
     p = sub.add_parser("augment", help="generate augmented training sentences")
-    p.add_argument("--gold", required=True)
+    p.add_argument("--gold", required=True, type=_InputDir)
     p.add_argument("--max-per-source", type=int, default=3)
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--out", required=True, help="token/tag column file to write")
+    p.add_argument("--out", required=True, type=_Output, help="token/tag column file to write")
     p.set_defaults(func=cmd_augment)
 
     return parser
@@ -190,24 +197,20 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _refuse_output_over_input(args: argparse.Namespace) -> None:
-    """Refuse an output flag that names an input file, a file under --gold, or another output's file."""
-    outputs = ["out", "csv"]
-    inputs = ["dump", "pred", "pred_b", "lexicon", "blocklist", "config"]
-    # ingest writes its --cache; every other command reads it.
-    (outputs if args.command == "ingest" else inputs).append("cache")
-    given = [(out, getattr(args, out)) for out in outputs if getattr(args, out, None)]
-    gold = os.path.realpath(args.gold) if getattr(args, "gold", None) else None
-    for k, (out, path) in enumerate(given):
-        for first, first_path in given[:k]:
+    """Refuse an output that names an input file, lies inside an input directory, or names another output."""
+    flags = [("--" + dest.replace("_", "-"), path) for dest, path in vars(args).items()]
+    inputs = [(flag, path) for flag, path in flags if isinstance(path, _Input)]
+    outputs = [(flag, path) for flag, path in flags if isinstance(path, _Output)]
+    for k, (out, path) in enumerate(outputs):
+        for first, first_path in outputs[:k]:
             if _same_file(first_path, path):
-                raise InputError(f"--{first} {first_path} and --{out} {path} name one file")
-        if gold and os.path.commonpath([os.path.realpath(path), gold]) == gold:
-            raise InputError(f"--{out} {path} would write inside the input --gold {args.gold}")
-        for inp in inputs:
-            inp_path = getattr(args, inp, None)
-            if inp_path and _same_file(path, inp_path):
-                flag = "--" + inp.replace("_", "-")
-                raise InputError(f"--{out} {path} would write over the input {flag} {inp_path}")
+                raise InputError(f"{first} {first_path} and {out} {path} name one file")
+        for flag, inp in inputs:
+            real = os.path.realpath(inp)
+            if isinstance(inp, _InputDir) and os.path.commonpath([os.path.realpath(path), real]) == real:
+                raise InputError(f"{out} {path} would write inside the input {flag} {inp}")
+            if _same_file(path, inp):
+                raise InputError(f"{out} {path} would write over the input {flag} {inp}")
 
 
 def _load_gold(path: str) -> list[corpus.Document]:
@@ -219,21 +222,14 @@ def _load_gold(path: str) -> list[corpus.Document]:
     return docs
 
 
-def _load_index(path: str) -> gazetteer.GazetteerIndex:
-    if not os.path.exists(path):
-        raise InputError(f"gazetteer cache not found: {path} (run `{PROG} ingest` first)")
-    return gazetteer.load_cache(path)
-
-
 def _load_predictions(path: str, lenient: bool) -> list[corpus.PredictionRecord]:
     records, errors = _read_operator_file("predictions", path, corpus.load_predictions)
     if errors:
         for err in errors[:10]:
             print(f"{path}:{err.line_no}: {err.message}", file=sys.stderr)
         if not lenient:
-            raise InputError(
-                f"{len(errors)} malformed prediction line(s) in {path}; use --lenient to skip them"
-            )
+            raise InputError(f"{len(errors)} malformed prediction line(s) in {path}; "
+                             "use --lenient to skip them")
     return records
 
 
@@ -248,6 +244,9 @@ def _write_report(report: metrics.EvalReport, out_path: str, csv_path: Optional[
             raise InputError(f"cannot read CSV file {csv_path}: {exc}") from exc
         if found != header:
             raise InputError(f"CSV file {csv_path} has another header; append to a new file")
+        with open(csv_path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            ends_a_line = fh.read(1) in b"\r\n"
     rendered = metrics.render_report(report)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(rendered)
@@ -256,6 +255,8 @@ def _write_report(report: metrics.EvalReport, out_path: str, csv_path: Optional[
             writer = csv.writer(fh, lineterminator="\n")
             if not appending:
                 writer.writerow(header)
+            elif not ends_a_line:
+                fh.write("\n")  # so the first row does not run on from the file's last one
             writer.writerows(metrics.report_csv_rows(report))
     sys.stdout.write(rendered)
 
@@ -281,18 +282,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate(args: argparse.Namespace, thresholds_km: Optional[list[float]]) -> int:
+def _evaluate(args: argparse.Namespace) -> int:
     dataset_id = args.dataset_id or os.path.basename(os.path.normpath(args.gold))
     # The report is one "key: value" per line, so a line break would forge a line.
     if dataset_id.splitlines() != [dataset_id]:
         raise InputError(f"dataset id {dataset_id!r} must be one non-empty line")
     docs = _load_gold(args.gold)
-    index = _load_index(args.cache) if args.cache else None
+    index = gazetteer.load_cache(args.cache) if args.cache else None
     records = _load_predictions(args.pred, args.lenient)
     records_b = _load_predictions(args.pred_b, args.lenient) if args.pred_b else None
     report = metrics.evaluate(
         docs, records, dataset_id, index=index, mode=metrics.MatchMode(args.mode),
-        thresholds_km=thresholds_km, pred_b=records_b,
+        thresholds_km=getattr(args, "thresholds", None), pred_b=records_b,
     )
     for test in report.stat_tests:
         print(_stat_test_line(test))
@@ -300,36 +301,19 @@ def _evaluate(args: argparse.Namespace, thresholds_km: Optional[list[float]]) ->
     return 0
 
 
-def cmd_eval_tagging(args: argparse.Namespace) -> int:
-    return _evaluate(args, thresholds_km=None)
-
-
-def cmd_eval_geocoding(args: argparse.Namespace) -> int:
-    return _evaluate(args, thresholds_km=args.thresholds)
-
-
 def cmd_baseline(args: argparse.Namespace) -> int:
     docs = _load_gold(args.gold)
-    index = _load_index(args.cache)
-    excl = corpus.apply_exclusion_policy(docs, index)
-
-    if args.ner == "oracle":
-        records = tagger.oracle_spans(excl.kept)
-    else:
-        blocklist = tagger.DEFAULT_BLOCKLIST
-        if args.blocklist:
-            blocklist = _read_operator_file(
-                "blocklist", args.blocklist,
-                lambda fh: frozenset(line.strip().casefold() for line in fh if line.strip()),
-            )
-        records = []
-        for doc in docs:
-            records.extend(tagger.gazetteer_tag(doc, index, blocklist, args.max_ngram))
-
+    index = gazetteer.load_cache(args.cache)
+    # The oracle tagger copies the gold, so it never reads a blocklist.
+    blocklist = tagger.DEFAULT_BLOCKLIST
+    if args.blocklist and args.ner == "dictionary":
+        blocklist = _read_operator_file(
+            "blocklist", args.blocklist,
+            lambda fh: frozenset(line.strip().casefold() for line in fh if line.strip()),
+        )
     lexicon = _read_operator_file("lexicon", args.lexicon, resolver.load_lexicon) if args.lexicon else None
-
-    result = resolver.resolve_population(
-        records, index, lexicon=lexicon, populated_only=args.populated_only
+    result, excl = resolver.run_baseline(
+        docs, index, args.ner == "oracle", blocklist, lexicon, args.max_ngram, args.populated_only
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         corpus.write_predictions(result.records, fh)
@@ -338,16 +322,14 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     print(f"gold annotations: {len(corpus.gold_spans(docs))} total, {len(excl.kept)} kept")
     print(f"predictions: {total} spans, {result.n_resolved} resolved, {result.n_unresolved} unresolved")
     if total and result.n_resolved / total < resolver.MIN_RESOLVED_FRACTION:
-        print(
-            f"warning: resolved fraction {result.n_resolved / total:.0%} below "
-            f"{resolver.MIN_RESOLVED_FRACTION:.0%}; geocoding sample may be unrepresentative",
-            file=sys.stderr,
-        )
+        print(f"warning: resolved fraction {result.n_resolved / total:.0%} below "
+              f"{resolver.MIN_RESOLVED_FRACTION:.0%}; geocoding sample may be unrepresentative",
+              file=sys.stderr)
     return 0
 
 
 def cmd_align(args: argparse.Namespace) -> int:
-    index = _load_index(args.cache)
+    index = gazetteer.load_cache(args.cache)
     records = _load_predictions(args.pred, args.lenient)
     result = resolver.align_to_gazetteer(records, index)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 GEONAMES_FIELD_COUNT = 19
 
 CACHE_FORMAT_VERSION = 3
+_CHECKSUM = re.compile(r"sha256:[0-9a-f]{16}")  # what dump_checksum writes, and reports print
 
 # A row is one entry as the cache stores it: (id, name, sorted alternate
 # names, lat, lon, population, feature class, feature code, country code).
@@ -268,12 +269,6 @@ def _parse_row(line: str) -> Optional[tuple]:
         return None
 
 
-def parse_geonames_line(line: str) -> Optional[GazetteerEntry]:
-    """Parse one Geonames main-table record; None when malformed."""
-    row = _parse_row(line)
-    return None if row is None else _entry_of(row)
-
-
 def ingest(
     lines: Iterable[str],
     feature_classes: Optional[set[str]] = None,
@@ -330,6 +325,8 @@ def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> Gazett
 
 def save_cache(index: GazetteerIndex, path: str) -> None:
     """Write the index's rows as they are, in rank order, so one dump gives one file."""
+    if not _CHECKSUM.fullmatch(index.version):
+        raise GazetteerError(f"cannot cache index version {index.version!r}: not a dump checksum")
     classes = tuple(sorted(index.feature_classes)) if index.feature_classes is not None else None
     rows = list(index._rows.values())
     payload = (CACHE_FORMAT_VERSION, index.version, classes, astuple(index.summary), rows)
@@ -358,7 +355,7 @@ def load_cache(path: str) -> GazetteerIndex:
         try:
             with open(path, "rb") as fh:
                 fmt, checksum, classes, counts, rows = _CacheUnpickler(fh).load()
-            if (fmt != CACHE_FORMAT_VERSION or type(checksum) is not str
+            if (fmt != CACHE_FORMAT_VERSION or type(checksum) is not str or not _CHECKSUM.fullmatch(checksum)
                     or [type(n) for n in counts] != [int] * 3):
                 raise ValueError(f"not a format {CACHE_FORMAT_VERSION} cache")
             index = GazetteerIndex(map(_checked_row, rows), checksum, IngestSummary(*counts), classes)

@@ -14,9 +14,10 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .corpus import PredictionRecord
+from .corpus import Document, ExclusionResult, PredictionRecord, apply_exclusion_policy
 from .gazetteer import GazetteerIndex, nearest_entry
 from .geodesy import Coordinate
+from .tagger import gazetteer_tag, oracle_spans
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +104,24 @@ def resolve_population(
         out.append(_with_coord(rec, best.coord))
         n_resolved += 1
     return ResolutionResult(records=out, n_resolved=n_resolved, n_unresolved=len(out) - n_resolved)
+
+
+def run_baseline(
+    docs: Sequence[Document], index: GazetteerIndex, oracle: bool, blocklist: Optional[frozenset[str]],
+    lexicon: Optional[dict[str, str]], max_ngram: int, populated_only: bool,
+) -> tuple[ResolutionResult, ExclusionResult]:
+    """The baseline system: tag `docs`, then resolve each span by population.
+
+    The oracle tagger copies the gold the exclusion policy keeps; the
+    dictionary tagger reads every document. Returns the resolution and the
+    exclusion result.
+    """
+    excl = apply_exclusion_policy(docs, index)
+    if oracle:
+        records = oracle_spans(excl.kept)
+    else:
+        records = [rec for doc in docs for rec in gazetteer_tag(doc, index, blocklist, max_ngram)]
+    return resolve_population(records, index, lexicon=lexicon, populated_only=populated_only), excl
 
 
 def align_to_gazetteer(

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import pickle
 
 import pytest
 
@@ -428,6 +429,47 @@ def test_csv_row_appended(tmp_path):
     assert [c["dataset_id"] for c in cells] == ["gold", "gold"] + ["gold, run 2"] * 3
 
 
+@pytest.mark.parametrize("ending", ["", "\r"], ids=["no-line-end", "cr-line-end"])
+def test_csv_row_appended_after_a_last_row_with_no_line_feed(tmp_path, ending):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    csv_path = tmp_path / "rows.csv"
+    argv = ["eval-tagging", "--gold", str(gold), "--pred", str(pred),
+            "--out", str(tmp_path / "r.txt"), "--csv", str(csv_path)]
+    assert main(argv) == 0
+    first = csv_path.read_text(encoding="utf-8")
+    csv_path.write_text(first.rstrip("\n") + ending, encoding="utf-8", newline="")
+    assert main(argv) == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert rows == [rows[0], rows[0]] and len(rows[0]) == len(header)
+
+
+def test_a_cache_whose_checksum_would_forge_a_report_line_is_refused(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    _, cache = build_cache(tmp_path)
+    fmt, _, classes, counts, rows = pickle.loads(cache.read_bytes())
+    cache.write_bytes(pickle.dumps((fmt, "sha256:x\nn_gold: 999", classes, counts, rows)))
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    report = tmp_path / "r.txt"
+    assert main(["eval-tagging", "--gold", str(gold), "--pred", str(pred), "--cache", str(cache),
+                 "--out", str(report)]) == 1
+    assert f"cannot use gazetteer cache {cache}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_a_missing_cache_is_named_with_the_rebuild_hint(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    cache = tmp_path / "none.cache"
+    assert main(["baseline", "--gold", str(gold), "--cache", str(cache), "--oracle-ner",
+                 "--out", str(tmp_path / "o.pred")]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot use gazetteer cache {cache} (" in err and "rerun `geoeval ingest` to rebuild it" in err
+    assert not (tmp_path / "o.pred").exists()
+
+
 def test_csv_with_other_header_is_refused(tmp_path, capsys):
     gold = build_corpus(tmp_path)
     pred = tmp_path / "p.pred"
@@ -724,6 +766,27 @@ def test_an_output_over_an_input_is_refused(tmp_path, capsys, argv, message):
     assert message.format(**paths) in capsys.readouterr().err
     assert {name: paths[name].read_bytes() for name in inputs} == inputs
     assert not paths["report"].exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"csv": "{pred}"}, "--csv {pred} would write over the input --pred {pred}"),
+        ({"pred-b": "{report}"}, "--out {report} would write over the input --pred-b {report}"),
+        ({"csv": "{gold}/rows.csv"}, "--csv {gold}/rows.csv would write inside the input --gold {gold}"),
+    ],
+    ids=["output-from-config", "input-from-config", "output-into-gold-from-config"],
+)
+def test_a_path_from_the_config_keeps_its_flags_role(tmp_path, capsys, config, message):
+    paths = {"gold": build_corpus(tmp_path), "pred": tmp_path / "p.pred", "report": tmp_path / "r.txt"}
+    paths["pred"].write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    config = _config(tmp_path, {key: value.format(**paths) for key, value in config.items()})
+    argv = ["--config", config, "eval-geocoding", "--gold", str(paths["gold"]), "--pred", str(paths["pred"]),
+            "--out", str(paths["report"])]
+    assert main(argv) == 1
+    assert message.format(**paths) in capsys.readouterr().err
+    assert paths["pred"].read_text(encoding="utf-8") == "doc1\t0\t5\tParis\tLocation\t\t\n"
+    assert not paths["report"].exists() and not (paths["gold"] / "rows.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from geoeval.gazetteer import (
     load_cache,
     load_or_ingest,
     nearest_entry,
-    parse_geonames_line,
     save_cache,
 )
 from geoeval.geodesy import Coordinate, great_circle_distance
@@ -186,9 +185,9 @@ def test_ingest_idempotent():
 
 
 def test_parse_geonames_line_roundtrip():
-    entry = parse_geonames_line(
-        geonames_line(11, "Testville", 10.5, -20.25, "P", "PPL", "GB", 1234, alternates="Tville,试镇")
-    )
+    entry = ingest(
+        [geonames_line(11, "Testville", 10.5, -20.25, "P", "PPL", "GB", 1234, alternates="Tville,试镇")]
+    ).entry(11)
     assert entry is not None
     assert entry.canonical_name == "Testville"
     assert entry.alternate_names == frozenset({"Tville", "试镇"})
@@ -218,6 +217,14 @@ def test_cache_roundtrip(tmp_path, toy_index):
     loaded = load_cache(str(cache))
     assert loaded.version == toy_index.version
     assert [e.id for e in loaded.lookup("melbourne")] == [1001, 1002]
+
+
+@pytest.mark.parametrize("version", ["unversioned", "sha256:0123456789abcdef\nn_gold: 999"])
+def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version):
+    cache = tmp_path / "toy.cache"
+    with pytest.raises(GazetteerError, match="not a dump checksum"):
+        save_cache(ingest(TOY_DUMP_LINES, version=version), str(cache))
+    assert not cache.exists()
 
 
 def test_cache_rejects_bad_format(tmp_path):
@@ -261,11 +268,11 @@ def _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump=None):
     "payload",
     [
         ["not", "a", "dict"],
-        (gazetteer.CACHE_FORMAT_VERSION + 1, "sha256:0", None, (0, 0, 0), []),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0, 0)),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0, 0), {"melbourne": [1001]}),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, ("lots", [], None), []),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0), []),
+        (gazetteer.CACHE_FORMAT_VERSION + 1, "sha256:0123456789abcdef", None, (0, 0, 0), []),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0, 0)),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0, 0), {"melbourne": [1001]}),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, ("lots", [], None), []),
+        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0), []),
         # Pickles that call a geoeval class, as caches of format 2 could.
         b"cgeoeval.geodesy\nCoordinate\n(I1\ntR.",
         b"cgeoeval.geodesy\nCoordinate\n(I999\nI0\ntR.",
@@ -310,8 +317,14 @@ def _payload_with(payload, position, value):
         lambda index, payload: _payload_with(payload, 1, 0),
         # A format-2 index whose name map is a list loaded, then failed in lookup.
         lambda index, payload: _as_format_2(index, _name_map=[]),
+        # The checksum is printed as a report line, so a line break would forge another.
+        lambda index, payload: _payload_with(payload, 1, "sha256:x\nn_gold: 999"),
+        lambda index, payload: _payload_with(payload, 1, payload[1] + "\n"),
+        lambda index, payload: _payload_with(payload, 1, payload[1][:-1]),
+        lambda index, payload: _payload_with(payload, 1, payload[1].upper()),
     ],
-    ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map"],
+    ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map",
+         "checksum-forging-a-line", "checksum-and-a-newline", "short-checksum", "upper-case-checksum"],
 )
 def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, make):
     # Same dump and filter: only `make` makes the cache unusable.
@@ -373,7 +386,7 @@ def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
     "make",
     [
         lambda path: pickle.dumps(
-            (gazetteer.CACHE_FORMAT_VERSION, "sha256:0", None, (0, 0, 0), [_RemoveOnLoad(path)])
+            (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0, 0), [_RemoveOnLoad(path)])
         ),
         # Builtins count as globals too.
         lambda path: pickle.dumps((gazetteer.CACHE_FORMAT_VERSION, len, None, (0, 0, 0), [])),
@@ -760,7 +773,7 @@ dump_lines = st.lists(
 @given(lines=dump_lines, classes=st.one_of(st.none(), st.sets(st.sampled_from("PAS"))))
 @settings(max_examples=150, deadline=None)
 def test_load_cache_after_save_cache_gives_back_the_ingested_index(lines, classes):
-    index = ingest(lines, feature_classes=classes, version="sha256:test")
+    index = ingest(lines, feature_classes=classes, version="sha256:0123456789abcdef")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.cache")
         save_cache(index, path)
@@ -871,7 +884,7 @@ def _reports(index, docs, coords, populated_only):
 @settings(max_examples=100, deadline=None)
 def test_an_index_loaded_from_its_cache_scores_the_same_reports(case, populated_only):
     lines, docs, coords = case
-    index = ingest(lines, version="sha256:test")
+    index = ingest(lines, version="sha256:0123456789abcdef")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.cache")
         save_cache(index, path)

@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoeval.corpus import PredictionRecord
+from geoeval.corpus import Document, PredictionRecord, ToponymAnnotation, apply_exclusion_policy
 from geoeval.gazetteer import ingest
 from geoeval.geodesy import Coordinate, great_circle_distance
 from geoeval.resolver import (
@@ -12,7 +12,10 @@ from geoeval.resolver import (
     load_lexicon,
     load_lexicon_path,
     resolve_population,
+    run_baseline,
 )
+from geoeval.tagger import DEFAULT_BLOCKLIST, gazetteer_tag, oracle_spans
+from geoeval.taxonomy import TaxonomyType
 
 from conftest import geonames_line
 
@@ -198,3 +201,26 @@ def test_align_never_increases_distance_to_nearest(data):
         assert any(c.coord == aligned for c in candidates)
         nearest = min(great_circle_distance(c.coord, coord) for c in candidates)
         assert great_circle_distance(aligned, coord) <= nearest + 1e-9
+
+
+def test_run_baseline_is_exclusion_then_a_tagger_then_resolution(toy_index):
+    text = "Paris and Nice met Russian Melbourne. FacHall shut."
+
+    def ann(surface, gazetteer_id):
+        start = text.index(surface)
+        return ToponymAnnotation(start=start, end=start + len(surface), surface=surface,
+                                 toponym_type=TaxonomyType.LITERAL, gazetteer_id=gazetteer_id)
+    # FacHall's dangling id is excluded, so neither tagger sees it as gold.
+    docs = [Document("d", text, [ann("Paris", 1004), ann("Melbourne", 1001), ann("FacHall", 999777)])]
+    lexicon = {"russian": "Melbourne"}
+    for oracle, blocklist, max_ngram, populated_only in [
+        (True, DEFAULT_BLOCKLIST, 4, False),
+        (False, DEFAULT_BLOCKLIST, 4, False),
+        (False, frozenset(), 1, True),  # "Nice" is tagged only without the default blocklist
+    ]:
+        result, excl = run_baseline(docs, toy_index, oracle, blocklist, lexicon, max_ngram, populated_only)
+        assert excl == apply_exclusion_policy(docs, toy_index)
+        assert [a.surface for _, a in excl.kept] == ["Paris", "Melbourne"]
+        tagged = oracle_spans(excl.kept) if oracle else gazetteer_tag(docs[0], toy_index, blocklist, max_ngram)
+        assert result == resolve_population(tagged, toy_index, lexicon=lexicon, populated_only=populated_only)
+        assert ("Nice" in [r.surface for r in result.records]) == (blocklist == frozenset())

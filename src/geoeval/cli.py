@@ -141,19 +141,38 @@ def _feature_classes(value: str) -> set[str]:
     return classes
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+def _config_and_command(argv: Optional[Sequence[str]]) -> tuple[Optional[str], Optional[str]]:
+    """The --config value and the subcommand in `argv`, read past every other flag.
+
+    (None, None) when `argv` cannot give them; the full parse then reports why.
+    """
+    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    probe.add_argument("--config")
+    probe.add_argument("command", nargs="?")
+    try:
+        found, _ = probe.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return None, None
+    return found.config, found.command
+
+
+def _apply_config(parser: argparse.ArgumentParser, command: Optional[str], path: str) -> None:
     """Make the JSON object in `path` defaults of `command`, below the command line.
 
-    Values go through the flag's type as if typed ({"k": "2"} gives 2). A key
-    naming another subcommand's flag is skipped.
+    Values go through the flag's type as if typed ({"k": "2"} gives 2), and a
+    required flag the config supplies is no longer required. A key naming
+    another subcommand's flag is skipped. An unknown `command` is left to
+    the parse to report.
     """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in sub.choices:
+        return
     try:
         config = _read_operator_file("config", path, json.load)
     except json.JSONDecodeError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError(f"config {path} must be a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
     elsewhere = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
     defaults = {}
@@ -177,6 +196,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
             if action.choices is not None and value not in action.choices:
                 raise InputError(f"config {path}: {key!r} must be one of {list(action.choices)}")
         defaults[dest] = value
+        action.required = False  # the config supplies it
     sub.choices[command].set_defaults(**defaults)
 
 
@@ -302,11 +322,16 @@ def _evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    if args.ner == "oracle":
+        # The oracle tagger copies the gold: it reads no blocklist and forms no n-grams.
+        if args.blocklist is not None:
+            raise InputError("--blocklist applies to --dictionary-ner only")
+        if args.max_ngram != tagger.DEFAULT_MAX_NGRAM:
+            raise InputError("--max-ngram applies to --dictionary-ner only")
     docs = _load_gold(args.gold)
     index = gazetteer.load_cache(args.cache)
-    # The oracle tagger copies the gold, so it never reads a blocklist.
     blocklist = tagger.DEFAULT_BLOCKLIST
-    if args.blocklist and args.ner == "dictionary":
+    if args.blocklist:
         blocklist = _read_operator_file(
             "blocklist", args.blocklist,
             lambda fh: frozenset(line.strip().casefold() for line in fh if line.strip()),
@@ -372,10 +397,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
+        # The config is applied before the parse, so that it can supply a required flag.
+        config, command = _config_and_command(argv)
+        if config is not None:
+            _apply_config(parser, command, config)
         args = parser.parse_args(argv)
-        if args.config:
-            _apply_config(parser, args.command, args.config)
-            args = parser.parse_args(argv)
         _refuse_output_over_input(args)
         return args.func(args)
     except (InputError, corpus.BratParseError, gazetteer.GazetteerError, OSError, ValueError) as exc:

@@ -1,9 +1,10 @@
 """Geonames-style gazetteer ingest and case-folded name lookup.
 
-The index keeps one plain row per entry and maps every canonical and
-alternate name (Unicode-casefolded, no diacritic stripping) to its
-candidate rows. It is immutable once built and can be persisted to a cache
-of those rows keyed by the dump checksum, so repeated evaluations skip
+The index keeps its entries as columns, one row per entry in rank order
+(descending population, then ascending id), and maps every canonical and
+alternate name (Unicode-casefolded, no diacritic stripping) to the rows of
+its candidates. It is immutable once built and can be persisted to a cache
+of those columns keyed by the dump checksum, so repeated evaluations skip
 re-parsing the dump. An entry object is built only when a query returns it.
 """
 
@@ -12,15 +13,18 @@ from __future__ import annotations
 import bisect
 import gc
 import hashlib
+import json
 import logging
 import math
-import pickle
+import os
 import re
+import reprlib
+import sys
 from array import array
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
-from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .geodesy import Coordinate, great_circle_distance
 
@@ -29,12 +33,17 @@ log = logging.getLogger(__name__)
 # Geonames main-table layout ("allCountries" dump): 19 tab-separated columns.
 GEONAMES_FIELD_COUNT = 19
 
-CACHE_FORMAT_VERSION = 3
+# Format 4 is one JSON header line (see _HEADER_CHECKS), then the raw bytes of
+# each column in _SECTIONS order, in the writer's byte order, then the names
+# as UTF-8: per row its canonical and alternate names joined by tabs, and a
+# line feed.
+CACHE_FORMAT_VERSION = 4
 _CHECKSUM = re.compile(r"sha256:[0-9a-f]{16}")  # what dump_checksum writes, and reports print
+_SECTIONS = ("ids", "populations", "latitudes", "longitudes", "codes", "names")
+_INT64 = 2**63
 
-# A row is one entry as the cache stores it: (id, name, sorted alternate
-# names, lat, lon, population, feature class, feature code, country code).
-_ID, _LAT, _POPULATION = itemgetter(0), itemgetter(3), itemgetter(5)
+# Malformed lines and duplicate ids of each kind logged at WARNING; the rest go to DEBUG.
+_LOGGED_SKIPS = 5
 
 
 class GazetteerError(Exception):
@@ -60,33 +69,78 @@ class GazetteerEntry:
 @dataclass
 class IngestSummary:
     ingested: int = 0
-    skipped: int = 0   # malformed lines
+    skipped: int = 0   # malformed lines and duplicate ids
     filtered: int = 0  # valid lines dropped by the feature-class filter
 
 
-def _checked_row(row: tuple) -> tuple:
-    """`row`, when the GazetteerEntry and Coordinate constructors would accept it.
+class _Columns:
+    """Entries as parallel columns, one row per entry.
 
-    Nine fields, an int id, an int population >= 0, and a finite latitude
-    and longitude in range; ValueError (TypeError for uncomparable
-    coordinates) otherwise. Names are checked when the index files them.
+    Ids and populations are int64, latitudes and longitudes float64, and
+    each row's code indexes `triples`, the distinct (feature class, feature
+    code, country code) triples. `names` holds each row's canonical name and
+    `alternates` its alternate names (the empty tuple for most rows).
     """
-    eid, _, _, lat, lon, population, _, _, _ = row
-    if type(eid) is not int or type(population) is not int or population < 0:
-        raise ValueError(f"gazetteer row {eid!r}: bad id or population {population!r}")
-    # NaN and infinities fail these comparisons too.
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        raise ValueError(f"gazetteer row {eid}: coordinate ({lat}, {lon}) out of range")
-    return row
+
+    __slots__ = ("ids", "populations", "lats", "lons", "codes", "triples", "names", "alternates")
+
+    def __init__(self):
+        self.ids, self.populations = array("q"), array("q")
+        self.lats, self.lons = array("d"), array("d")
+        self.codes = array("I")
+        self.triples: list[tuple[str, str, str]] = []
+        self.names: list[str] = []
+        self.alternates: list[tuple[str, ...]] = []
+
+    def arrays(self) -> tuple[array, ...]:
+        """The fixed-width columns, in _SECTIONS order."""
+        return self.ids, self.populations, self.lats, self.lons, self.codes
+
+
+def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
+    """Rows as columns in rank order, with the triples coded in order of first use.
+
+    A row is (id, name, alternates, lat, lon, population, feature class,
+    feature code, country code).
+    """
+    c = _Columns()
+    code_of: dict[tuple[str, str, str], int] = {}
+    for eid, name, alternates, lat, lon, population, fclass, fcode, country in rows:
+        c.ids.append(eid)
+        c.populations.append(population)
+        c.lats.append(lat)
+        c.lons.append(lon)
+        c.codes.append(code_of.setdefault((fclass, fcode, country), len(code_of)))
+        c.names.append(name)
+        c.alternates.append(alternates)
+    # Descending population, then ascending id: both sorts are stable.
+    order = sorted(range(len(c.ids)), key=c.ids.__getitem__)
+    order.sort(key=c.populations.__getitem__, reverse=True)
+    triples, recoded = list(code_of), {}
+    codes = [recoded.setdefault(c.codes[i], len(recoded)) for i in order]
+    c.triples = [triples[code] for code in recoded]
+    c.codes = array("I", codes)
+    c.ids, c.populations, c.lats, c.lons = (
+        array(column.typecode, map(column.__getitem__, order))
+        for column in (c.ids, c.populations, c.lats, c.lons)
+    )
+    c.names = list(map(c.names.__getitem__, order))
+    c.alternates = list(map(c.alternates.__getitem__, order))
+    return c
+
+
+def _check_unique(ids: array) -> None:
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate gazetteer id {min(i for i, k in Counter(ids).items() if k > 1)}")
 
 
 @contextmanager
 def _collector_paused():
     """Pause the cyclic collector, if it runs, for the block.
 
-    Rows and the index that files them are acyclic, so a collection while
-    they are built would free nothing, and each would walk the objects
-    built so far again.
+    Columns, names and the index that files them are acyclic, so a
+    collection while they are built would free nothing, and each would walk
+    the objects built so far again.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -97,25 +151,20 @@ def _collector_paused():
             gc.enable()
 
 
-def _entry_of(row: tuple) -> GazetteerEntry:
-    eid, name, alternates, lat, lon, population, fclass, fcode, country = row
-    return GazetteerEntry(
-        eid, name, frozenset(alternates), Coordinate(lat, lon), population, fclass, fcode, country
-    )
-
-
 class GazetteerIndex:
-    """Immutable name -> candidates index over checked gazetteer rows.
+    """Immutable name -> candidates index over gazetteer columns.
 
-    The constructor ranks the rows once, by descending population, then
-    ascending id, and files each under its distinct case-folded names in
-    that order, so every name's candidates come out ranked; a duplicate id
-    raises ValueError, and a name that is not a string TypeError or
-    AttributeError. It records the dump checksum (`version`) and the
-    feature-class filter the rows passed.
+    The constructor takes rows (id, name, alternates, lat, lon, population,
+    feature class, feature code, country code), ranks them once, by
+    descending population, then ascending id, and files each under its
+    distinct case-folded names in that order, so every name's candidates
+    come out ranked; a duplicate id raises ValueError, and a name that is
+    not a string TypeError or AttributeError. It records the dump checksum
+    (`version`) and the feature-class filter the rows passed.
 
-    Queries build a row's GazetteerEntry the first time they return it and
-    hand out that same object from then on.
+    The name map files each name under a row position, or a tuple of them
+    when several rows share the name. Queries build a row's GazetteerEntry
+    the first time they return it and hand out that same object from then on.
     """
 
     def __init__(
@@ -125,64 +174,80 @@ class GazetteerIndex:
         summary: IngestSummary,
         feature_classes: Optional[Iterable[str]],
     ):
-        # Descending population, then ascending id. A cache's rows come
-        # ranked, so the stable sort by population keeps them in order; only
-        # rows whose tied populations are out of id order (a dump's) need
-        # sorting by id first.
-        ranked = sorted(rows, key=_POPULATION, reverse=True)
-        if any(a[5] == b[5] and a[0] > b[0] for a, b in zip(ranked, ranked[1:])):
-            ranked.sort(key=_ID)
-            ranked.sort(key=_POPULATION, reverse=True)
-        by_id: dict[int, tuple] = {}
+        columns = _ranked_columns(rows)
+        _check_unique(columns.ids)
+        self._adopt(columns, version, summary, feature_classes)
+
+    @classmethod
+    def _of_columns(cls, columns: _Columns, version: str, summary: IngestSummary,
+                    feature_classes: Optional[Iterable[str]]) -> "GazetteerIndex":
+        """The index over checked columns that are ranked and have unique ids."""
+        index = cls.__new__(cls)
+        index._adopt(columns, version, summary, feature_classes)
+        return index
+
+    def _adopt(self, columns: _Columns, version: str, summary: IngestSummary,
+               feature_classes: Optional[Iterable[str]]) -> None:
         name_map: dict = {}
-        for row in ranked:
-            if row[0] in by_id:
-                raise ValueError(f"duplicate gazetteer id {row[0]}")
-            by_id[row[0]] = row
-            name = row[1].casefold()
-            # Most rows have no alternate name. The test is `!= ()`, not
-            # truth, so that alternates that are not iterable (None in a
-            # crafted cache) still raise here.
-            for key in {name, *map(str.casefold, row[2])} if row[2] != () else (name,):
-                found = name_map.get(key)
-                if found is None:
-                    name_map[key] = [row]
-                else:
-                    found.append(row)
-        # Converted in place, so each list is freed as its tuple is made.
-        for key, found in name_map.items():
-            name_map[key] = tuple(found)
-        self._rows = by_id
-        self._name_map: dict[str, tuple[tuple, ...]] = name_map
+        shared = []  # keys filed under more than one row, kept as lists until the end
+        for pos, (name, alternates) in enumerate(zip(columns.names, columns.alternates)):
+            name = name.casefold()
+            for key in {name, *map(str.casefold, alternates)} if alternates else (name,):
+                found = name_map.setdefault(key, pos)
+                if found is not pos:  # filed under an earlier row
+                    if type(found) is int:
+                        name_map[key] = [found, pos]
+                        shared.append(key)
+                    else:
+                        found.append(pos)
+        for key in shared:
+            name_map[key] = tuple(name_map[key])
+        self._columns = columns
+        self._name_map: dict[str, int | tuple[int, ...]] = name_map
         self.version = version
         self.summary = summary
         self.feature_classes = frozenset(feature_classes) if feature_classes is not None else None
-        # Memos filled on first use: entries by id, lookup results, and the
-        # by_latitude and max_tokens_by_first_token tables.
+        # Memos filled on first use: row positions by id, entries by
+        # position, lookup results, and the by_latitude and
+        # max_tokens_by_first_token tables.
+        self._positions: Optional[dict[int, int]] = None
         self._entries: dict[int, GazetteerEntry] = {}
         self._lookups: dict[str, tuple[GazetteerEntry, ...]] = {}
         self._by_latitude: dict[str, tuple[tuple[int, ...], array, array]] = {}
         self._max_tokens: dict[re.Pattern, dict[str, int]] = {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._columns.ids)
 
     def __contains__(self, entry_id: int) -> bool:
-        return entry_id in self._rows
+        return self._position(entry_id) is not None
 
-    def _entry(self, row: tuple) -> GazetteerEntry:
-        entry = self._entries.get(row[0])
+    def _position(self, entry_id: int) -> Optional[int]:
+        if self._positions is None:
+            self._positions = dict(zip(self._columns.ids, range(len(self))))
+        return self._positions.get(entry_id)
+
+    def _rows_of(self, key: str) -> tuple[int, ...]:
+        found = self._name_map.get(key, ())
+        return (found,) if type(found) is int else found
+
+    def _entry(self, pos: int) -> GazetteerEntry:
+        entry = self._entries.get(pos)
         if entry is None:
-            entry = self._entries[row[0]] = _entry_of(row)
+            c = self._columns
+            entry = self._entries[pos] = GazetteerEntry(
+                c.ids[pos], c.names[pos], frozenset(c.alternates[pos]), Coordinate(c.lats[pos], c.lons[pos]),
+                c.populations[pos], *c.triples[c.codes[pos]],
+            )
         return entry
 
     def entry(self, entry_id: int) -> Optional[GazetteerEntry]:
-        row = self._rows.get(entry_id)
-        return None if row is None else self._entry(row)
+        pos = self._position(entry_id)
+        return None if pos is None else self._entry(pos)
 
     def entries(self) -> list[GazetteerEntry]:
         """Every entry, in rank order (building each one not yet built)."""
-        return [self._entry(row) for row in self._rows.values()]
+        return [self._entry(pos) for pos in range(len(self))]
 
     def has_name(self, name: str) -> bool:
         """Whether any entry's canonical or alternate name casefolds to `name`."""
@@ -198,32 +263,33 @@ class GazetteerIndex:
         key = name.casefold()
         found = self._lookups.get(key)
         if found is None:
-            rows = self._name_map.get(key)
-            if rows is None:
+            rows = self._rows_of(key)
+            if not rows:
                 return ()
             found = self._lookups[key] = tuple(map(self._entry, rows))
         return found
 
     def top(self, name: str) -> Optional[GazetteerEntry]:
         """The head of `lookup(name)`, its most populous candidate (ties to the lower id), or None."""
-        rows = self._name_map.get(name.casefold())
-        return None if rows is None else self._entry(rows[0])
+        rows = self._rows_of(name.casefold())
+        return self._entry(rows[0]) if rows else None
 
     def by_latitude(self, name: str) -> tuple[tuple[int, ...], array, array]:
         """`name`'s candidates in ascending latitude, for nearest_entry.
 
         Returns (their entry ids, their latitudes in radians, their unit
-        vectors as one flat x, y, z array), computed from the rows and
+        vectors as one flat x, y, z array), computed from the columns and
         memoised per case-folded name; equal latitudes keep the lookup
         ranking.
         """
         key = name.casefold()
         found = self._by_latitude.get(key)
         if found is None:
-            ordered = sorted(self._name_map.get(key, ()), key=_LAT)
-            ids = tuple(map(_ID, ordered))
-            lats = array("d", [math.radians(row[3]) for row in ordered])
-            xyz = array("d", [c for row in ordered for c in _unit_vector(row[3], row[4])])
+            c = self._columns
+            ordered = sorted(self._rows_of(key), key=c.lats.__getitem__)
+            ids = tuple(map(c.ids.__getitem__, ordered))
+            lats = array("d", [math.radians(c.lats[pos]) for pos in ordered])
+            xyz = array("d", [v for pos in ordered for v in _unit_vector(c.lats[pos], c.lons[pos])])
             found = self._by_latitude[key] = (ids, lats, xyz)
         return found
 
@@ -244,7 +310,11 @@ class GazetteerIndex:
 
 
 def _parse_row(line: str) -> Optional[tuple]:
-    """One Geonames main-table record as a checked row; None when malformed."""
+    """One Geonames main-table record as a row; None when malformed.
+
+    A row has an id and a population >= 0 that fit in 64 bits, and a
+    finite latitude and longitude in range.
+    """
     if line.count("\t") < GEONAMES_FIELD_COUNT - 1:
         return None
     # Columns past the population (the 15th) are not read: leave them unsplit.
@@ -252,21 +322,64 @@ def _parse_row(line: str) -> Optional[tuple]:
     name = fields[1].strip()
     if not name:
         return None
-    alternates = fields[3]
     try:
-        return _checked_row((
-            int(fields[0]),
-            name,
-            tuple(sorted({a.strip() for a in alternates.split(",") if a.strip()})) if alternates else (),
-            float(fields[4]),
-            float(fields[5]),
-            int(fields[14]) if fields[14].strip() else 0,
-            fields[6],
-            fields[7],
-            fields[8],
-        ))
+        eid = int(fields[0])
+        lat, lon = float(fields[4]), float(fields[5])
+        population = int(fields[14]) if fields[14].strip() else 0
     except ValueError:
         return None
+    # NaN and infinities fail these comparisons too.
+    if not (-_INT64 <= eid < _INT64 and 0 <= population < _INT64
+            and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return None
+    alternates = fields[3]
+    return (
+        eid,
+        name,
+        tuple(sorted({a.strip() for a in alternates.split(",") if a.strip()})) if alternates else (),
+        lat,
+        lon,
+        population,
+        fields[6],
+        fields[7],
+        fields[8],
+    )
+
+
+def _dump_rows(
+    lines: Iterable[str], feature_classes: Optional[set[str]], summary: IngestSummary
+) -> Iterator[tuple]:
+    """The rows of the well-formed, kept records, first of each id, in dump order.
+
+    Counts skipped and filtered lines in `summary` as it goes. The first
+    _LOGGED_SKIPS malformed lines and duplicate ids are logged at WARNING
+    with their line numbers, the rest at DEBUG, then both totals at WARNING.
+    """
+    seen: set[int] = set()
+    malformed = duplicates = 0
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        row = _parse_row(line)
+        if row is None:
+            malformed += 1
+            log.log(logging.WARNING if malformed <= _LOGGED_SKIPS else logging.DEBUG,
+                    "gazetteer: skipping malformed line %d", line_no)
+            continue
+        if feature_classes is not None and row[6] not in feature_classes:
+            summary.filtered += 1
+            continue
+        if row[0] in seen:
+            duplicates += 1
+            log.log(logging.WARNING if duplicates <= _LOGGED_SKIPS else logging.DEBUG,
+                    "gazetteer: skipping duplicate id %d (line %d)", row[0], line_no)
+            continue
+        seen.add(row[0])
+        yield row
+    summary.skipped = malformed + duplicates
+    if summary.skipped:
+        log.warning("gazetteer: skipped %d malformed lines and %d duplicate ids in all",
+                    malformed, duplicates)
 
 
 def ingest(
@@ -280,28 +393,11 @@ def ingest(
     summary, never fatal. `feature_classes`, when given, keeps only
     records whose single-letter feature class is in the set.
     """
-    rows: dict[int, tuple] = {}
     summary = IngestSummary()
-
     with _collector_paused():
-        for line_no, line in enumerate(lines, start=1):
-            if not line or line.isspace():
-                continue
-            row = _parse_row(line)
-            if row is None:
-                summary.skipped += 1
-                log.warning("gazetteer: skipping malformed line %d", line_no)
-                continue
-            if feature_classes is not None and row[6] not in feature_classes:
-                summary.filtered += 1
-                continue
-            if row[0] in rows:
-                summary.skipped += 1
-                log.warning("gazetteer: skipping duplicate id %d (line %d)", row[0], line_no)
-                continue
-            rows[row[0]] = row
-        summary.ingested = len(rows)
-        return GazetteerIndex(rows.values(), version, summary, feature_classes)
+        index = GazetteerIndex(_dump_rows(lines, feature_classes, summary), version, summary, feature_classes)
+    summary.ingested = len(index)
+    return index
 
 
 def dump_checksum(path: str) -> str:
@@ -324,29 +420,113 @@ def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> Gazett
 
 
 def save_cache(index: GazetteerIndex, path: str) -> None:
-    """Write the index's rows as they are, in rank order, so one dump gives one file."""
+    """Write the index's columns as they are, in rank order, so one dump gives one file."""
     if not _CHECKSUM.fullmatch(index.version):
         raise GazetteerError(f"cannot cache index version {index.version!r}: not a dump checksum")
-    classes = tuple(sorted(index.feature_classes)) if index.feature_classes is not None else None
-    rows = list(index._rows.values())
-    payload = (CACHE_FORMAT_VERSION, index.version, classes, astuple(index.summary), rows)
+    c = index._columns
+    lines = ["\t".join((name, *alts)) if alts else name for name, alts in zip(c.names, c.alternates)]
+    lines.append("")  # so that the last row ends with a line feed too
+    text = "\n".join(lines)
+    if text.count("\n") != len(index) or text.count("\t") != sum(map(len, c.alternates)):
+        raise GazetteerError("cannot cache a gazetteer name that holds a tab or a line feed")
+    names = text.encode("utf-8")
+    header = {
+        "format": CACHE_FORMAT_VERSION,
+        "byteorder": sys.byteorder,
+        "checksum": index.version,
+        "feature_classes": sorted(index.feature_classes) if index.feature_classes is not None else None,
+        "counts": list(astuple(index.summary)),
+        "codes": c.triples,
+        "sections": dict(zip(_SECTIONS, [len(a) * a.itemsize for a in c.arrays()] + [len(names)])),
+    }
     with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
+        for column in c.arrays():
+            column.tofile(fh)
+        fh.write(names)
 
 
-class _CacheUnpickler(pickle.Unpickler):
-    """Admits no global at all: a cache is builtin rows, so it cannot run code."""
+def _strs(value, length: Optional[int] = None) -> bool:
+    return type(value) is list and all(type(s) is str for s in value) and length in (None, len(value))
 
-    # As small as a plain Unpickler: on CPython 3.11 a larger instance gave
-    # 2.5 MB more peak RSS when loading a cache right after an ingest.
-    __slots__ = ()
 
-    def find_class(self, module, name):
-        raise pickle.UnpicklingError(f"global {module}.{name} is not allowed")
+def _sizes(value, length: int) -> bool:
+    return type(value) is list and len(value) == length and all(type(n) is int and n >= 0 for n in value)
+
+
+# What load_cache accepts in each header field; no other field is allowed.
+_HEADER_CHECKS = {
+    "format": lambda v: type(v) is int and v == CACHE_FORMAT_VERSION,
+    "byteorder": lambda v: v == sys.byteorder,
+    "checksum": lambda v: type(v) is str and _CHECKSUM.fullmatch(v),
+    "feature_classes": lambda v: v is None or _strs(v),
+    "counts": lambda v: _sizes(v, 3),  # ingested, skipped, filtered
+    "codes": lambda v: type(v) is list and all(_strs(triple, 3) for triple in v),
+    "sections": lambda v: type(v) is dict and list(v) == list(_SECTIONS) and _sizes(list(v.values()), 6),
+}
+
+
+def _ranked(ids: array, populations: array) -> bool:
+    """Whether the rows are in rank order: descending population, then ascending id."""
+    return all(p > q or (p == q and a < b)
+               for p, q, a, b in zip(populations, populations[1:], ids, ids[1:]))
+
+
+def _read_cache(fh, file_size: int) -> GazetteerIndex:
+    """The index in an open format-4 cache, each column checked whole; ValueError when it is unusable."""
+    first = fh.readline()
+    if first.startswith(b"\x80"):
+        raise ValueError("a pickled cache, as formats 1 to 3 were, is not allowed")
+    header = json.loads(first)
+    if type(header) is not dict or not _HEADER_CHECKS["format"](header.get("format")):
+        raise ValueError(f"not a format {CACHE_FORMAT_VERSION} cache")
+    for key in header:
+        if key not in _HEADER_CHECKS:
+            raise ValueError(f"header key {key!r} is not allowed")
+    for key, check in _HEADER_CHECKS.items():
+        if key not in header:
+            raise ValueError(f"header field {key!r} is missing")
+        if not check(header[key]):
+            raise ValueError(f"header field {key!r} is {reprlib.repr(header[key])}")
+    sizes = list(header["sections"].values())
+    if len(first) + sum(sizes) != file_size:
+        raise ValueError(f"the header and sections take {len(first) + sum(sizes)} bytes, "
+                         f"the file {file_size}")
+
+    c = _Columns()
+    n = sizes[0] // c.ids.itemsize
+    if sizes[:5] != [n * column.itemsize for column in c.arrays()]:
+        raise ValueError(f"the column sizes {sizes[:5]} do not hold one row count")
+    for column, size in zip(c.arrays(), sizes):
+        column.frombytes(fh.read(size))
+    c.triples = [tuple(triple) for triple in header["codes"]]
+    for what, column, bound in (("latitude", c.lats, 90.0), ("longitude", c.lons, 180.0)):
+        # fsum is NaN or infinite, or raises ValueError, when a value is.
+        if (not math.isfinite(math.fsum(column))
+                or min(column, default=0) < -bound or max(column, default=0) > bound):
+            raise ValueError(f"a {what} is not finite or out of range")
+    if min(c.populations, default=0) < 0:
+        raise ValueError("a population is negative")
+    if max(c.codes, default=-1) >= len(c.triples):
+        raise ValueError("a code is outside the code table")
+    _check_unique(c.ids)
+    if not _ranked(c.ids, c.populations):
+        raise ValueError("the rows are out of rank order")
+
+    rows = fh.read(sizes[5]).decode("utf-8").split("\n")
+    if len(rows) != n + 1 or rows.pop():
+        raise ValueError(f"the names section does not hold {n} lines")
+    c.names, c.alternates = rows, [()] * n
+    for pos, row in enumerate(rows):
+        if "\t" in row:
+            rows[pos], *alternates = row.split("\t")
+            c.alternates[pos] = tuple(alternates)
+    return GazetteerIndex._of_columns(c, header["checksum"], IngestSummary(*header["counts"]),
+                                      header["feature_classes"])
 
 
 def load_cache(path: str) -> GazetteerIndex:
-    """The cached index, every row checked; GazetteerError when the file is unusable."""
+    """The cached index, every column checked; GazetteerError when the file is unusable."""
     # The loaded index is long-lived, so once it is built it is frozen (with
     # every object alive then) out of the collector's later scans, which
     # would otherwise walk all of its objects again in each generation. A
@@ -354,16 +534,11 @@ def load_cache(path: str) -> GazetteerIndex:
     with _collector_paused():
         try:
             with open(path, "rb") as fh:
-                fmt, checksum, classes, counts, rows = _CacheUnpickler(fh).load()
-            if (fmt != CACHE_FORMAT_VERSION or type(checksum) is not str or not _CHECKSUM.fullmatch(checksum)
-                    or [type(n) for n in counts] != [int] * 3):
-                raise ValueError(f"not a format {CACHE_FORMAT_VERSION} cache")
-            index = GazetteerIndex(map(_checked_row, rows), checksum, IngestSummary(*counts), classes)
+                index = _read_cache(fh, os.fstat(fh.fileno()).st_size)
             gc.freeze()
             return index
-        # A crafted length field gives OverflowError or MemoryError before anything is read.
-        except (OSError, pickle.UnpicklingError, EOFError, TypeError, ValueError, AttributeError,
-                OverflowError, MemoryError) as exc:
+        # A deeply nested header gives RecursionError.
+        except (OSError, ValueError, OverflowError, MemoryError, RecursionError) as exc:
             raise GazetteerError(
                 f"cannot use gazetteer cache {path} ({exc}); rerun `geoeval ingest` to rebuild it"
             ) from exc

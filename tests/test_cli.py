@@ -2,7 +2,6 @@ import argparse
 import csv
 import json
 import os
-import pickle
 
 import pytest
 
@@ -364,6 +363,25 @@ def test_baseline_refuses_a_document_id_with_a_tab(tmp_path, capsys):
     assert not pred.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--blocklist", "/nonexistent/words.txt"], "--blocklist"),
+        (["--max-ngram", "0"], "--max-ngram"),
+        (["--blocklist", "/nonexistent/words.txt", "--max-ngram", "0"], "--blocklist"),
+    ],
+    ids=["blocklist", "max-ngram", "both"],
+)
+def test_oracle_ner_refuses_the_dictionary_tagger_flags(tmp_path, capsys, flags, named):
+    gold = build_corpus(tmp_path)
+    _, cache = build_cache(tmp_path)
+    pred = tmp_path / "oracle.pred"
+    assert main(["baseline", "--gold", str(gold), "--cache", str(cache), "--oracle-ner", *flags,
+                 "--out", str(pred)]) == 1
+    assert f"error: {named} applies to --dictionary-ner only" in capsys.readouterr().err
+    assert not pred.exists()
+
+
 def test_prediction_file_with_a_bom_scores_as_without(tmp_path):
     gold = build_corpus(tmp_path)
     record = "doc1\t0\t5\tParis\tLocation\t48.8566\t2.3522\n"
@@ -449,8 +467,9 @@ def test_csv_row_appended_after_a_last_row_with_no_line_feed(tmp_path, ending):
 def test_a_cache_whose_checksum_would_forge_a_report_line_is_refused(tmp_path, capsys):
     gold = build_corpus(tmp_path)
     _, cache = build_cache(tmp_path)
-    fmt, _, classes, counts, rows = pickle.loads(cache.read_bytes())
-    cache.write_bytes(pickle.dumps((fmt, "sha256:x\nn_gold: 999", classes, counts, rows)))
+    first, rest = cache.read_bytes().split(b"\n", 1)
+    header = {**json.loads(first), "checksum": "sha256:x\nn_gold: 999"}
+    cache.write_bytes(json.dumps(header).encode("ascii") + b"\n" + rest)
     pred = tmp_path / "p.pred"
     pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
     report = tmp_path / "r.txt"
@@ -529,6 +548,25 @@ def test_config_file_supplies_defaults(tmp_path):
     ]) == 0
     plan = json.loads(plan_path.read_text(encoding="utf-8"))
     assert plan["k"] == 3 and plan["seed"] == 21
+
+
+def test_config_file_supplies_required_flags(tmp_path):
+    gold = build_corpus(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gold": str(gold), "out": str(plan_path)}), encoding="utf-8")
+    assert main(["--config", str(config), "folds"]) == 0
+    assert json.loads(plan_path.read_text(encoding="utf-8"))["k"] == 5
+
+
+def test_a_required_flag_in_neither_config_nor_command_line_is_refused(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gold": str(gold)}), encoding="utf-8")
+    assert main(["--config", str(config), "folds"]) == 1
+    assert "error: the following arguments are required: --out" in capsys.readouterr().err
+    assert main(["folds"]) == 1
+    assert "error: the following arguments are required: --gold, --out" in capsys.readouterr().err
 
 
 def test_config_file_with_a_bom_supplies_defaults(tmp_path):

@@ -1,9 +1,12 @@
 import gc
+import json
+import logging
 import math
 import os
 import pickle
 import random
 import re
+import sys
 import tempfile
 import weakref
 from array import array
@@ -159,6 +162,30 @@ def test_duplicate_id_skipped():
     assert index.lookup("beta") == ()
 
 
+def test_skipped_lines_are_logged_five_of_each_kind_then_totalled(caplog):
+    lines = [geonames_line(1, "Alpha", 1.0, 1.0)]
+    lines += ["not\ta\tvalid\tline"] * 7  # lines 2 to 8
+    lines += [geonames_line(1, "Again", 2.0, 2.0)] * 6  # lines 9 to 14
+    with caplog.at_level(logging.DEBUG, logger="geoeval.gazetteer"):
+        index = ingest(lines)
+    assert (index.summary.ingested, index.summary.skipped) == (1, 13)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert warnings == (
+        [f"gazetteer: skipping malformed line {n}" for n in range(2, 7)]
+        + [f"gazetteer: skipping duplicate id 1 (line {n})" for n in range(9, 14)]
+        + ["gazetteer: skipped 7 malformed lines and 6 duplicate ids in all"]
+    )
+    assert debug == ["gazetteer: skipping malformed line 7", "gazetteer: skipping malformed line 8",
+                     "gazetteer: skipping duplicate id 1 (line 14)"]
+
+
+def test_a_clean_dump_logs_nothing(caplog):
+    with caplog.at_level(logging.DEBUG, logger="geoeval.gazetteer"):
+        ingest(TOY_DUMP_LINES)
+    assert caplog.records == []
+
+
 def test_feature_class_filter():
     lines = [
         geonames_line(1, "Placeville", 1.0, 1.0, feature_class="P"),
@@ -227,6 +254,17 @@ def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version)
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("name, alternates", [("New\nYork", ()), ("York", ("New\tYork",))],
+                         ids=["line-feed-in-a-name", "tab-in-an-alternate"])
+def test_save_cache_refuses_a_name_its_names_section_could_not_split(tmp_path, name, alternates):
+    rows = [(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")]
+    index = gazetteer.GazetteerIndex(rows, "sha256:0123456789abcdef", gazetteer.IngestSummary(1), None)
+    cache = tmp_path / "names.cache"
+    with pytest.raises(GazetteerError, match="tab or a line feed"):
+        save_cache(index, str(cache))
+    assert not cache.exists()
+
+
 def test_cache_rejects_bad_format(tmp_path):
     cache = tmp_path / "bogus.cache"
     cache.write_bytes(b"not a pickle")
@@ -234,13 +272,67 @@ def test_cache_rejects_bad_format(tmp_path):
         load_cache(str(cache))
 
 
+_TYPECODES = {"ids": "q", "populations": "q", "latitudes": "d", "longitudes": "d", "codes": "I"}
+_DROP = object()
+
+
+def _cache_parts(data):
+    """A format-4 cache read apart: its header, and each section as an array or a list of name lines."""
+    first, rest = data.split(b"\n", 1)
+    header = json.loads(first)
+    parts, at = {}, 0
+    for name, size in header["sections"].items():
+        chunk = rest[at:at + size]
+        at += size
+        if name in _TYPECODES:
+            parts[name] = array(_TYPECODES[name], chunk)
+        else:
+            parts[name] = chunk.decode("utf-8").split("\n")[:-1]
+    return header, parts
+
+
+def _cache_bytes(header, parts, resize=True):
+    """The cache of `header` and `parts`; section sizes are recomputed unless `resize` is false.
+
+    A part may be raw bytes, written as they are.
+    """
+    blobs = {}
+    for name, part in parts.items():
+        if isinstance(part, array):
+            part = part.tobytes()
+        elif isinstance(part, list):
+            part = "".join(line + "\n" for line in part).encode("utf-8")
+        blobs[name] = part
+    if resize:
+        header = {**header, "sections": {name: len(blob) for name, blob in blobs.items()}}
+    return json.dumps(header).encode("ascii") + b"\n" + b"".join(blobs.values())
+
+
+_EMPTY_HEADER = {
+    "format": gazetteer.CACHE_FORMAT_VERSION, "byteorder": sys.byteorder, "checksum": "sha256:0123456789abcdef",
+    "feature_classes": None, "counts": [0, 0, 0], "codes": [], "sections": dict.fromkeys(gazetteer._SECTIONS, 0),
+}
+
+
+def _empty_cache(**changes):
+    """A cache of no entries, with header fields changed (or dropped, given _DROP)."""
+    header = {key: value for key, value in {**_EMPTY_HEADER, **changes}.items() if value is not _DROP}
+    return json.dumps(header).encode("ascii") + b"\n"
+
+
+def test_the_crafted_empty_cache_loads(tmp_path):
+    cache = tmp_path / "empty.cache"
+    cache.write_bytes(_empty_cache())
+    assert len(load_cache(str(cache))) == 0
+
+
 def _toy_payload(tmp_path):
-    """The dump file and the rows payload save_cache writes for it."""
+    """The dump file and the header and sections save_cache writes for it."""
     dump = tmp_path / "dump.tsv"
     dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
     cache = tmp_path / "toy.cache"
     save_cache(ingest_path(str(dump)), str(cache))
-    return dump, pickle.loads(cache.read_bytes())
+    return dump, _cache_parts(cache.read_bytes())
 
 
 def _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump=None):
@@ -260,120 +352,163 @@ def _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump=None):
         dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
     index, hit = load_or_ingest(str(dump), str(cache))
     assert hit is False and len(index) == len(TOY_DUMP_LINES)
-    assert pickle.loads(cache.read_bytes())[0] == gazetteer.CACHE_FORMAT_VERSION
+    assert _cache_parts(cache.read_bytes())[0]["format"] == gazetteer.CACHE_FORMAT_VERSION
     assert load_cache(str(cache)).version == index.version
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        ["not", "a", "dict"],
-        (gazetteer.CACHE_FORMAT_VERSION + 1, "sha256:0123456789abcdef", None, (0, 0, 0), []),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0, 0)),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0, 0), {"melbourne": [1001]}),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, ("lots", [], None), []),
-        (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0), []),
-        # Pickles that call a geoeval class, as caches of format 2 could.
-        b"cgeoeval.geodesy\nCoordinate\n(I1\ntR.",
-        b"cgeoeval.geodesy\nCoordinate\n(I999\nI0\ntR.",
-        b"\x80\x04cgeoeval.gazetteer\nGazetteerEntry\n)\x81N}X\x02\x00\x00\x00id\x94K\x01sb.",
+        b'["not", "a", "dict"]\n',
+        _empty_cache(format=gazetteer.CACHE_FORMAT_VERSION + 1),
+        _empty_cache(sections=_DROP),
+        _empty_cache(sections={"melbourne": [1001]}),
+        _empty_cache(counts=["lots", [], None]),
+        _empty_cache(counts=[0, 0]),
+        # Code tables that the entries could not be built from.
+        _empty_cache(codes=[[1, "PPL", "US"]]),
+        _empty_cache(codes=[["P", "PPL"]]),
+        _empty_cache(feature_classes={"P": 1}),
     ],
     ids=["not-a-dict", "wrong-version", "missing-index", "index-not-an-index",
          "counts-not-integers", "two-counts", "bad-arguments-type", "bad-arguments-value", "bad-state"],
 )
 def test_cache_rejects_bad_payload_shape(tmp_path, payload, capsys):
     cache = tmp_path / "shape.cache"
-    cache.write_bytes(payload if isinstance(payload, bytes) else pickle.dumps(payload))
+    cache.write_bytes(payload)
     _assert_refused_and_rebuilt(tmp_path, capsys, cache)
 
 
-def _as_format_2(index, **attributes):
-    """The pickled index as format 2 wrote it, with `attributes` set on it."""
-    index.format_version = 2
-    for name, value in attributes.items():
-        setattr(index, name, value)
-    return pickle.dumps(index)
-
-
-def _payload_with(payload, position, value):
-    fields = list(payload)
-    if value is None:
-        del fields[position]
-    else:
-        fields[position] = value
-    return pickle.dumps(tuple(fields))
+def _with_header(header, parts, **changes):
+    return _cache_bytes({**header, **changes}, parts)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda index, payload: _as_format_2(index),
-        lambda index, payload: _payload_with(payload, 0, gazetteer.CACHE_FORMAT_VERSION + 1),
-        lambda index, payload: _payload_with(payload, 0, None),
-        # The format-1 layout: the index inside a dict that repeats its checksum.
-        lambda index, payload: pickle.dumps(
-            {"format_version": 1, "checksum": index.version, "feature_classes": None, "index": index}
-        ),
-        lambda index, payload: _payload_with(payload, 1, 0),
-        # A format-2 index whose name map is a list loaded, then failed in lookup.
-        lambda index, payload: _as_format_2(index, _name_map=[]),
+        lambda header, parts: _with_header(header, parts, format=3),
+        lambda header, parts: _with_header(header, parts, format=gazetteer.CACHE_FORMAT_VERSION + 1),
+        lambda header, parts: _cache_bytes({k: v for k, v in header.items() if k != "format"}, parts),
+        # The format-1 layout: the index inside an object that repeats its checksum.
+        lambda header, parts: json.dumps(
+            {"format_version": 1, "checksum": header["checksum"], "feature_classes": None, "index": header}
+        ).encode("ascii") + b"\n",
+        lambda header, parts: _with_header(header, parts, checksum=0),
+        # Columns without the names that the name map is filed from.
+        lambda header, parts: _cache_bytes(header, {**parts, "names": []}),
         # The checksum is printed as a report line, so a line break would forge another.
-        lambda index, payload: _payload_with(payload, 1, "sha256:x\nn_gold: 999"),
-        lambda index, payload: _payload_with(payload, 1, payload[1] + "\n"),
-        lambda index, payload: _payload_with(payload, 1, payload[1][:-1]),
-        lambda index, payload: _payload_with(payload, 1, payload[1].upper()),
+        lambda header, parts: _with_header(header, parts, checksum="sha256:x\nn_gold: 999"),
+        lambda header, parts: _with_header(header, parts, checksum=header["checksum"] + "\n"),
+        lambda header, parts: _with_header(header, parts, checksum=header["checksum"][:-1]),
+        lambda header, parts: _with_header(header, parts, checksum=header["checksum"].upper()),
     ],
     ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map",
          "checksum-forging-a-line", "checksum-and-a-newline", "short-checksum", "upper-case-checksum"],
 )
 def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, make):
     # Same dump and filter: only `make` makes the cache unusable.
-    dump, payload = _toy_payload(tmp_path)
+    dump, (header, parts) = _toy_payload(tmp_path)
     cache = tmp_path / "old.cache"
-    cache.write_bytes(make(ingest_path(str(dump)), payload))
+    cache.write_bytes(make(header, parts))
     _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump)
 
 
-def _with_row_field(rows, field, value, at=0):
-    changed = list(rows)
-    row = list(changed[at])
-    row[field] = value
-    changed[at] = tuple(row)
-    return changed
+def _set(parts, section, value, at=0):
+    parts[section][at] = value
+    return parts
+
+
+def _in_every_section(parts, edit):
+    for name in gazetteer._SECTIONS:
+        parts[name] = edit(parts[name])
+    return parts
+
+
+def _short_first_code(header, parts):
+    header["codes"][0] = header["codes"][0][:2]
+    return parts
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda rows: _with_row_field(rows, 3, 999.0),
-        lambda rows: _with_row_field(rows, 5, "4000000"),
-        lambda rows: rows[:1] + rows,
-        lambda rows: [rows[0][:8]] + rows[1:],
-        lambda rows: _with_row_field(rows, 1, 1001),
-        lambda rows: _with_row_field(rows, 2, (None,)),
-        lambda rows: _with_row_field(rows, 4, float("nan")),
-        # The row check runs on every row as the cache loads, not when a query
+        lambda header, parts: _set(parts, "latitudes", 999.0),
+        # Populations stored as decimal text, not as int64.
+        lambda header, parts: {**parts, "populations": " ".join(map(str, parts["populations"])).encode("ascii")},
+        lambda header, parts: _in_every_section(parts, lambda section: section[:1] + section),
+        lambda header, parts: _short_first_code(header, parts),
+        lambda header, parts: {**parts, "names": b"\xff" + "".join(n + "\n" for n in parts["names"]).encode()},
+        lambda header, parts: {**parts, "names": parts["names"][:-1]},
+        lambda header, parts: _set(parts, "longitudes", float("nan")),
+        # Every column is checked whole as the cache loads, not when a query
         # first reaches the row: a bad last row, and a bad row under a name
         # that nothing asks for, are refused by load_cache itself.
-        lambda rows: _with_row_field(rows, 3, 999.0, at=-1),
-        lambda rows: _with_row_field(rows, 5, -1, at=-1),
-        lambda rows: _with_row_field(_with_row_field(rows, 1, "Unasked", at=5), 3, float("inf"), at=5),
-        lambda rows: _with_row_field(_with_row_field(rows, 1, "Unasked", at=5), 0, 1012.5, at=5),
+        lambda header, parts: _set(parts, "latitudes", 999.0, at=-1),
+        lambda header, parts: _set(parts, "populations", -1, at=-1),
+        lambda header, parts: _set(_set(parts, "names", "Unasked", at=5), "latitudes", float("inf"), at=5),
+        # Ids of 32 bits, not 64.
+        lambda header, parts: {**_set(parts, "names", "Unasked", at=5), "ids": array("i", parts["ids"])},
     ],
     ids=["latitude-999", "string-population", "duplicate-id", "eight-fields",
          "name-not-a-string", "alternate-not-a-string", "longitude-nan", "last-row-latitude-999",
          "last-row-negative-population", "unasked-name-infinite-latitude", "unasked-name-float-id"],
 )
 def test_cache_with_a_bad_row_is_refused_and_rebuilt(tmp_path, capsys, make):
-    dump, (fmt, checksum, classes, counts, rows) = _toy_payload(tmp_path)
+    dump, (header, parts) = _toy_payload(tmp_path)
     cache = tmp_path / "rows.cache"
-    cache.write_bytes(pickle.dumps((fmt, checksum, classes, counts, make(rows))))
+    cache.write_bytes(_cache_bytes(header, make(header, parts)))
+    _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump)
+
+
+def _other_byte_order(header, parts):
+    for name in _TYPECODES:
+        parts[name].byteswap()
+    return _cache_bytes({**header, "byteorder": "big" if sys.byteorder == "little" else "little"}, parts)
+
+
+def _swap_first_two_rows(parts):
+    for name in gazetteer._SECTIONS:
+        parts[name][0], parts[name][1] = parts[name][1], parts[name][0]
+    return parts
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (_other_byte_order, "byteorder"),
+        (lambda header, parts: _cache_bytes(header, parts)[:-3], "bytes, the file"),
+        (lambda header, parts: _cache_bytes(header, {**parts, "ids": parts["ids"] + array("q", [7])}, resize=False),
+         "bytes, the file"),
+        (lambda header, parts: _cache_bytes(header, _set(parts, "latitudes", float("nan"))), "latitude"),
+        (lambda header, parts: _cache_bytes(header, _set(parts, "populations", -1, at=-1)), "negative"),
+        (lambda header, parts: _cache_bytes(header, _swap_first_two_rows(parts)), "rank order"),
+        (lambda header, parts: _cache_bytes(header, _set(parts, "ids", parts["ids"][0], at=1)), "duplicate"),
+        (lambda header, parts: _cache_bytes(header, _set(parts, "codes", len(header["codes"]), at=-1)),
+         "code table"),
+        (lambda header, parts: _cache_bytes(header, {**parts, "names": "".join(
+            n + "\n" for n in parts["names"]).encode("utf-8").replace(b"M", b"\xc3(")}), "utf-8"),
+        (lambda header, parts: pickle.dumps((3, header["checksum"], None, (14, 0, 0), [])), "pickle"),
+        # A field that may be null must still be there.
+        (lambda header, parts: _cache_bytes({k: v for k, v in header.items() if k != "feature_classes"}, parts),
+         "'feature_classes' is missing"),
+        (lambda header, parts: _cache_bytes({**header, "os.remove": None, "eval": None}, parts), "'os.remove'"),
+    ],
+    ids=["other-byte-order", "truncated-section", "over-long-section", "nan-latitude", "negative-population",
+         "out-of-rank-order", "duplicate-id", "code-outside-the-table", "names-not-utf-8", "format-3-pickle",
+         "no-feature-classes", "first-foreign-key-named"],
+)
+def test_a_damaged_format_4_cache_is_refused_for_its_reason_and_rebuilt(tmp_path, capsys, make, reason):
+    dump, (header, parts) = _toy_payload(tmp_path)
+    cache = tmp_path / "damaged.cache"
+    cache.write_bytes(make(header, parts))
+    with pytest.raises(GazetteerError, match=reason):
+        load_cache(str(cache))
     _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump)
 
 
 def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
     cache = tmp_path / "foreign.cache"
-    cache.write_bytes(b"cnosuchmodule\nthing\n.")
+    cache.write_bytes(_empty_cache(**{"nosuchmodule.thing": None}))
     with pytest.raises(GazetteerError, match="nosuchmodule.thing"):
         load_cache(str(cache))
     pred = tmp_path / "p.pred"
@@ -385,11 +520,9 @@ def test_cache_naming_a_missing_module_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda path: pickle.dumps(
-            (gazetteer.CACHE_FORMAT_VERSION, "sha256:0123456789abcdef", None, (0, 0, 0), [_RemoveOnLoad(path)])
-        ),
-        # Builtins count as globals too.
-        lambda path: pickle.dumps((gazetteer.CACHE_FORMAT_VERSION, len, None, (0, 0, 0), [])),
+        lambda path: _empty_cache(**{"os.remove": [path]}),
+        # Builtins are refused too.
+        lambda path: _empty_cache(**{"builtins.len": []}),
     ],
     ids=["foreign-function", "builtin"],
 )
@@ -404,20 +537,12 @@ def test_cache_naming_any_global_is_refused_and_rebuilt(tmp_path, capsys, make):
     assert target.read_text(encoding="utf-8") == "still here"
 
 
-class _RemoveOnLoad:
-    def __init__(self, path):
-        self.path = path
-
-    def __reduce__(self):
-        return (os.remove, (self.path,))
-
-
 def test_cache_calling_a_foreign_function_runs_nothing(tmp_path):
     target = tmp_path / "keep.txt"
     target.write_text("still here", encoding="utf-8")
     cache = tmp_path / "hostile.cache"
-    cache.write_bytes(pickle.dumps({"format_version": gazetteer.CACHE_FORMAT_VERSION,
-                                    "index": _RemoveOnLoad(str(target))}))
+    cache.write_bytes(json.dumps({"format": gazetteer.CACHE_FORMAT_VERSION,
+                                  "index": {"os.remove": [str(target)]}}).encode("ascii") + b"\n")
     with pytest.raises(GazetteerError, match="not allowed"):
         load_cache(str(cache))
     assert target.read_text(encoding="utf-8") == "still here"

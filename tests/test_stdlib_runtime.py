@@ -36,3 +36,11 @@ def test_module_imports_only_the_standard_library(module):
         imports = absolute_imports(fh.read())
     outside = [(line, name) for line, name in imports if name not in sys.stdlib_module_names]
     assert outside == [], f"{module} imports outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_does_not_import_pickle(module):
+    # The gazetteer cache is plain columns, so loading one can run no code.
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        imports = absolute_imports(fh.read())
+    assert [line for line, name in imports if name == "pickle"] == [], f"{module} imports pickle"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import random
 import re
+from collections import Counter
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import Document, ExpressionAnnotation, ExpressionRole
@@ -52,13 +53,9 @@ def _containing_sentence(sentences: list[tuple[int, int]], start: int, end: int)
 
 def expression_counts(
     expressions: Iterable[ExpressionAnnotation],
-) -> dict[tuple[ExpressionRole, ExpressionKind], int]:
+) -> Counter[tuple[ExpressionRole, ExpressionKind]]:
     """Counts per (role, kind), e.g. how many literal contexts exist."""
-    counts: dict[tuple[ExpressionRole, ExpressionKind], int] = {}
-    for expr in expressions:
-        key = (expr.role, expr.kind)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter((expr.role, expr.kind) for expr in expressions)
 
 
 def generate_augmented(

@@ -169,7 +169,7 @@ def _apply_config(parser: argparse.ArgumentParser, command: Optional[str], path:
         return
     try:
         config = _read_operator_file("config", path, json.load)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, too deep a nesting
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError(f"config {path} must be a JSON object")

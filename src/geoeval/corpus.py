@@ -201,7 +201,10 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
             tid, label, start_s, end_s, surface = m.groups()
             if tid in spans:
                 raise BratParseError(f"duplicate annotation id {tid}", line_no)
-            start, end = int(start_s), int(end_s)
+            try:
+                start, end = int(start_s), int(end_s)
+            except ValueError:  # more digits than int() converts
+                raise BratParseError(f"{tid}: an offset has too many digits", line_no) from None
             if not (0 <= start < end <= len(text)):
                 raise BratParseError(
                     f"{tid}: span ({start}, {end}) outside text of length {len(text)}",

@@ -6,6 +6,10 @@ alternate name (Unicode-casefolded, no diacritic stripping) to the rows of
 its candidates. It is immutable once built and can be persisted to a cache
 of those columns keyed by the dump checksum, so repeated evaluations skip
 re-parsing the dump. An entry object is built only when a query returns it.
+
+Each rule on the data is checked once, where it enters (by `_parse_row` and
+`_dump_rows` for a dump, by `_read_cache` for a cache), and both ways hand
+the index's one constructor ranked columns.
 """
 
 from __future__ import annotations
@@ -60,10 +64,6 @@ class GazetteerEntry:
     feature_class: str
     feature_code: str
     country_code: str
-
-    def __post_init__(self):
-        if type(self.id) is not int or type(self.population) is not int or self.population < 0:
-            raise ValueError(f"gazetteer entry {self.id!r}: bad id or population {self.population!r}")
 
 
 @dataclass
@@ -129,11 +129,6 @@ def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
     return c
 
 
-def _check_unique(ids: array) -> None:
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate gazetteer id {min(i for i, k in Counter(ids).items() if k > 1)}")
-
-
 @contextmanager
 def _collector_paused():
     """Pause the cyclic collector, if it runs, for the block.
@@ -154,40 +149,20 @@ def _collector_paused():
 class GazetteerIndex:
     """Immutable name -> candidates index over gazetteer columns.
 
-    The constructor takes rows (id, name, alternates, lat, lon, population,
-    feature class, feature code, country code), ranks them once, by
-    descending population, then ascending id, and files each under its
-    distinct case-folded names in that order, so every name's candidates
-    come out ranked; a duplicate id raises ValueError, and a name that is
-    not a string TypeError or AttributeError. It records the dump checksum
-    (`version`) and the feature-class filter the rows passed.
+    The one constructor takes columns ranked by descending population, then
+    ascending id, with unique ids (`ingest` passes `_ranked_columns` of the
+    dump's rows, `load_cache` a cache's checked columns) and checks nothing
+    again. It files each row under its distinct case-folded names in rank
+    order, so every name's candidates come out ranked, and records the dump
+    checksum (`version`) and the feature-class filter the rows passed.
 
     The name map files each name under a row position, or a tuple of them
     when several rows share the name. Queries build a row's GazetteerEntry
     the first time they return it and hand out that same object from then on.
     """
 
-    def __init__(
-        self,
-        rows: Iterable[tuple],
-        version: str,
-        summary: IngestSummary,
-        feature_classes: Optional[Iterable[str]],
-    ):
-        columns = _ranked_columns(rows)
-        _check_unique(columns.ids)
-        self._adopt(columns, version, summary, feature_classes)
-
-    @classmethod
-    def _of_columns(cls, columns: _Columns, version: str, summary: IngestSummary,
-                    feature_classes: Optional[Iterable[str]]) -> "GazetteerIndex":
-        """The index over checked columns that are ranked and have unique ids."""
-        index = cls.__new__(cls)
-        index._adopt(columns, version, summary, feature_classes)
-        return index
-
-    def _adopt(self, columns: _Columns, version: str, summary: IngestSummary,
-               feature_classes: Optional[Iterable[str]]) -> None:
+    def __init__(self, columns: _Columns, version: str, summary: IngestSummary,
+                 feature_classes: Optional[Iterable[str]]):
         name_map: dict = {}
         shared = []  # keys filed under more than one row, kept as lists until the end
         for pos, (name, alternates) in enumerate(zip(columns.names, columns.alternates)):
@@ -395,7 +370,8 @@ def ingest(
     """
     summary = IngestSummary()
     with _collector_paused():
-        index = GazetteerIndex(_dump_rows(lines, feature_classes, summary), version, summary, feature_classes)
+        columns = _ranked_columns(_dump_rows(lines, feature_classes, summary))
+        index = GazetteerIndex(columns, version, summary, feature_classes)
     summary.ingested = len(index)
     return index
 
@@ -494,9 +470,9 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
                          f"the file {file_size}")
 
     c = _Columns()
-    n = sizes[0] // c.ids.itemsize
+    n = header["counts"][0]  # the ingested rows
     if sizes[:5] != [n * column.itemsize for column in c.arrays()]:
-        raise ValueError(f"the column sizes {sizes[:5]} do not hold one row count")
+        raise ValueError(f"the column sizes {sizes[:5]} do not hold the {n} ingested rows")
     for column, size in zip(c.arrays(), sizes):
         column.frombytes(fh.read(size))
     c.triples = [tuple(triple) for triple in header["codes"]]
@@ -509,7 +485,8 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
         raise ValueError("a population is negative")
     if max(c.codes, default=-1) >= len(c.triples):
         raise ValueError("a code is outside the code table")
-    _check_unique(c.ids)
+    if len(set(c.ids)) != n:
+        raise ValueError(f"duplicate gazetteer id {min(i for i, k in Counter(c.ids).items() if k > 1)}")
     if not _ranked(c.ids, c.populations):
         raise ValueError("the rows are out of rank order")
 
@@ -521,8 +498,7 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
         if "\t" in row:
             rows[pos], *alternates = row.split("\t")
             c.alternates[pos] = tuple(alternates)
-    return GazetteerIndex._of_columns(c, header["checksum"], IngestSummary(*header["counts"]),
-                                      header["feature_classes"])
+    return GazetteerIndex(c, header["checksum"], IngestSummary(*header["counts"]), header["feature_classes"])
 
 
 def load_cache(path: str) -> GazetteerIndex:

@@ -191,18 +191,6 @@ class ErrorDistribution:
     def n(self) -> int:
         return len(self.errors)
 
-    def __len__(self) -> int:
-        return len(self.errors)
-
-    def __iter__(self):
-        return iter(self.errors)
-
-    def __eq__(self, other):
-        return isinstance(other, ErrorDistribution) and self.errors == other.errors
-
-    def __repr__(self):
-        return f"ErrorDistribution(n={self.n})"
-
 
 def _require_nonempty(dist: ErrorDistribution) -> None:
     if dist.n == 0:

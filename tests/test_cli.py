@@ -659,6 +659,22 @@ def test_bad_config_key_or_value_is_input_error(tmp_path, capsys, values, key):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"k": ' + "1" * 5_000 + "}"],
+    ids=["nested-too-deep", "integer-too-long"],
+)
+def test_an_unreadable_config_is_named_with_exit_1(tmp_path, capsys, text):
+    gold = build_corpus(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    plan_path = tmp_path / "plan.json"
+    assert main(["--config", str(config), "folds", "--gold", str(gold), "--out", str(plan_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read config {config}: " in err and "Traceback" not in err
+    assert not plan_path.exists()
+
+
 def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_path):
     gold = build_corpus(tmp_path)
     config = _config(tmp_path, {"thresholds": "5", "lenient": True, "k": 3, "seed": 21})

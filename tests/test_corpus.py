@@ -465,6 +465,15 @@ def test_load_directory_bom_counted_in_offsets(tmp_path):
         load_directory(str(tmp_path))
 
 
+def test_load_directory_names_the_ann_and_line_of_an_offset_too_long_to_read(tmp_path):
+    ann = "T1\tLiteral 0 5\tParis\nT2\tLiteral 0 " + "9" * 5_000 + "\tParis\n"
+    write_brat_doc(tmp_path, "doc", "Paris flooded.", ann)
+    with pytest.raises(BratParseError) as info:
+        load_directory(str(tmp_path))
+    assert info.value.line_no == 2
+    assert str(info.value).startswith(f"{tmp_path / 'doc.ann'}:2: T2: ")
+
+
 def test_load_directory_drops_the_bom_of_an_ann(tmp_path):
     # The .ann holds no offsets into itself, so its BOM is not a character.
     (tmp_path / "doc.txt").write_text("Paris flooded.", encoding="utf-8")

@@ -258,7 +258,8 @@ def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version)
                          ids=["line-feed-in-a-name", "tab-in-an-alternate"])
 def test_save_cache_refuses_a_name_its_names_section_could_not_split(tmp_path, name, alternates):
     rows = [(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")]
-    index = gazetteer.GazetteerIndex(rows, "sha256:0123456789abcdef", gazetteer.IngestSummary(1), None)
+    index = gazetteer.GazetteerIndex(gazetteer._ranked_columns(rows), "sha256:0123456789abcdef",
+                                     gazetteer.IngestSummary(1), None)
     cache = tmp_path / "names.cache"
     with pytest.raises(GazetteerError, match="tab or a line feed"):
         save_cache(index, str(cache))
@@ -492,10 +493,12 @@ def _swap_first_two_rows(parts):
         (lambda header, parts: _cache_bytes({k: v for k, v in header.items() if k != "feature_classes"}, parts),
          "'feature_classes' is missing"),
         (lambda header, parts: _cache_bytes({**header, "os.remove": None, "eval": None}, parts), "'os.remove'"),
+        # The header's ingested count is the row count; it may not read another.
+        (lambda header, parts: _cache_bytes({**header, "counts": [999, 0, 0]}, parts), "the 999 ingested rows"),
     ],
     ids=["other-byte-order", "truncated-section", "over-long-section", "nan-latitude", "negative-population",
          "out-of-rank-order", "duplicate-id", "code-outside-the-table", "names-not-utf-8", "format-3-pickle",
-         "no-feature-classes", "first-foreign-key-named"],
+         "no-feature-classes", "first-foreign-key-named", "ingested-count-not-the-row-count"],
 )
 def test_a_damaged_format_4_cache_is_refused_for_its_reason_and_rebuilt(tmp_path, capsys, make, reason):
     dump, (header, parts) = _toy_payload(tmp_path)
@@ -795,7 +798,7 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
         (eid, "Alpha", (), coord.lat, coord.lon, data.draw(st.integers(0, 2)), "P", "PPL", "US")
         for eid, coord in zip(ids, coords)
     ]
-    index = gazetteer.GazetteerIndex(rows, "v", gazetteer.IngestSummary(), None)
+    index = gazetteer.GazetteerIndex(gazetteer._ranked_columns(rows), "v", gazetteer.IngestSummary(), None)
     for _ in range(3):  # the first query fills the unit-vector memo, later ones read it
         query = point()
         assert nearest_entry(index, "ALPHA", query).id == _nearest_oracle(index.lookup("alpha"), query).id
@@ -804,7 +807,7 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
 def _alpha_index(coords):
     rows = [(eid, "Alpha", (), lat, lon, 0, "P", "PPL", "US")
             for eid, (lat, lon) in enumerate(coords, start=1)]
-    return gazetteer.GazetteerIndex(rows, "v", gazetteer.IngestSummary(), None)
+    return gazetteer.GazetteerIndex(gazetteer._ranked_columns(rows), "v", gazetteer.IngestSummary(), None)
 
 
 @pytest.mark.parametrize(
@@ -916,13 +919,13 @@ def test_load_cache_builds_no_entry_and_queries_build_each_once(tmp_path, toy_in
     cache = tmp_path / "toy.cache"
     save_cache(toy_index, str(cache))
     built = []
-    post_init = gazetteer.GazetteerEntry.__post_init__
+    entry_type = gazetteer.GazetteerEntry
 
-    def counting_post_init(entry):
-        built.append(entry.id)
-        post_init(entry)
+    def counting_entry(eid, *fields):
+        built.append(eid)
+        return entry_type(eid, *fields)
 
-    monkeypatch.setattr(gazetteer.GazetteerEntry, "__post_init__", counting_post_init)
+    monkeypatch.setattr(gazetteer, "GazetteerEntry", counting_entry)
     loaded = load_cache(str(cache))
     assert built == []
     assert loaded.has_name("melbourne") and loaded.by_latitude("melbourne")[0] == (1001, 1002)

@@ -4,7 +4,9 @@ Annotated expressions split each source sentence into an interchangeable
 context and head. Substituting compatible heads, or gold toponyms of the
 matching literal/associative group, into a context slot yields synthetic
 training sentences in token/tag column format. Literal contexts only ever
-receive literal fillers and associative contexts associative ones.
+receive literal fillers and associative contexts associative ones. The
+module also renders the `contexts:`/`heads:` summary of the expressions
+it drew from (`summary_lines`).
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ def expression_counts(
 ) -> Counter[tuple[ExpressionRole, ExpressionKind]]:
     """Counts per (role, kind), e.g. how many literal contexts exist."""
     return Counter((expr.role, expr.kind) for expr in expressions)
+
+
+def summary_lines(expressions: Iterable[ExpressionAnnotation]) -> list[str]:
+    """One line per role counting its expressions by kind, e.g. `contexts: Literal=2, Associative=1`."""
+    counts = expression_counts(expressions)
+    lines = []
+    for role in ExpressionRole:
+        per_kind = ", ".join(f"{kind.value}={counts[role, kind]}" for kind in ExpressionKind)
+        lines.append(f"{role.value.lower()}s: {per_kind}")
+    return lines
 
 
 def generate_augmented(

@@ -13,7 +13,6 @@ flows from explicit --seed flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -217,11 +216,14 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _refuse_output_over_input(args: argparse.Namespace) -> None:
-    """Refuse an output that names an input file, lies inside an input directory, or names another output."""
+    """Refuse an output that is no file in an existing directory, names an input or another output,
+    or lies inside an input directory."""
     flags = [("--" + dest.replace("_", "-"), path) for dest, path in vars(args).items()]
     inputs = [(flag, path) for flag, path in flags if isinstance(path, _Input)]
     outputs = [(flag, path) for flag, path in flags if isinstance(path, _Output)]
     for k, (out, path) in enumerate(outputs):
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"{out} {path} is not a file in an existing directory")
         for first, first_path in outputs[:k]:
             if _same_file(first_path, path):
                 raise InputError(f"{first} {first_path} and {out} {path} name one file")
@@ -253,44 +255,6 @@ def _load_predictions(path: str, lenient: bool) -> list[corpus.PredictionRecord]
     return records
 
 
-def _write_report(report: metrics.EvalReport, out_path: str, csv_path: Optional[str]) -> None:
-    header = list(metrics.REPORT_CSV_COLUMNS)
-    appending = bool(csv_path) and os.path.exists(csv_path) and os.path.getsize(csv_path) > 0
-    if appending:
-        try:
-            with open(csv_path, newline="", encoding="utf-8") as fh:
-                found = next(csv.reader(fh), None)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise InputError(f"cannot read CSV file {csv_path}: {exc}") from exc
-        if found != header:
-            raise InputError(f"CSV file {csv_path} has another header; append to a new file")
-        with open(csv_path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            ends_a_line = fh.read(1) in b"\r\n"
-    rendered = metrics.render_report(report)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(rendered)
-    if csv_path:
-        with open(csv_path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if not appending:
-                writer.writerow(header)
-            elif not ends_a_line:
-                fh.write("\n")  # so the first row does not run on from the file's last one
-            writer.writerows(metrics.report_csv_rows(report))
-    sys.stdout.write(rendered)
-
-
-def _stat_test_line(test: stats.StatTestResult) -> str:
-    verdicts = "; ".join(
-        f"{'significant' if test.p_value < alpha else 'not significant'} at {alpha}"
-        for alpha in stats.REPORTING_ALPHAS
-    )
-    if test.name == "wilcoxon":
-        return f"wilcoxon: z={test.statistic:.4f} p={test.p_value:.6g} n={test.n} ({verdicts})"
-    return f"{test.name}: statistic={test.statistic:.4f} p={test.p_value:.6g} ({verdicts})"
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     if not os.path.exists(args.dump):
         raise InputError(f"dump file not found: {args.dump}")
@@ -316,8 +280,8 @@ def _evaluate(args: argparse.Namespace) -> int:
         thresholds_km=getattr(args, "thresholds", None), pred_b=records_b,
     )
     for test in report.stat_tests:
-        print(_stat_test_line(test))
-    _write_report(report, args.out, args.csv)
+        print(metrics.stat_test_line(test))
+    sys.stdout.write(metrics.write_report(report, args.out, args.csv))
     return 0
 
 
@@ -330,12 +294,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             raise InputError("--max-ngram applies to --dictionary-ner only")
     docs = _load_gold(args.gold)
     index = gazetteer.load_cache(args.cache)
-    blocklist = tagger.DEFAULT_BLOCKLIST
-    if args.blocklist:
-        blocklist = _read_operator_file(
-            "blocklist", args.blocklist,
-            lambda fh: frozenset(line.strip().casefold() for line in fh if line.strip()),
-        )
+    blocklist = (_read_operator_file("blocklist", args.blocklist, tagger.load_blocklist)
+                 if args.blocklist else tagger.DEFAULT_BLOCKLIST)
     lexicon = _read_operator_file("lexicon", args.lexicon, resolver.load_lexicon) if args.lexicon else None
     result, excl = resolver.run_baseline(
         docs, index, args.ner == "oracle", blocklist, lexicon, args.max_ngram, args.populated_only
@@ -369,7 +329,7 @@ def cmd_folds(args: argparse.Namespace) -> int:
     docs = _load_gold(args.gold)
     plan = stats.make_folds([doc.doc_id for doc in docs], args.k, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump({"k": plan.k, "seed": plan.seed, "folds": plan.folds}, fh, indent=2)
+        json.dump(vars(plan), fh, indent=2)
         fh.write("\n")
     sizes = ", ".join(str(len(f)) for f in plan.folds)
     print(f"{len(docs)} documents dealt into {plan.k} folds of sizes [{sizes}] (seed {plan.seed})")
@@ -384,12 +344,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     sentences = augment_mod.generate_augmented(docs, expressions, args.max_per_source, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         augment_mod.write_tagged(sentences, fh)
-    counts = augment_mod.expression_counts(expressions)
-    for role in corpus.ExpressionRole:
-        per_kind = ", ".join(
-            f"{kind.value}={counts.get((role, kind), 0)}" for kind in corpus.ExpressionKind
-        )
-        print(f"{role.value.lower()}s: {per_kind}")
+    for line in augment_mod.summary_lines(expressions):
+        print(line)
     print(f"wrote {len(sentences)} tagged sentences (seed {args.seed})")
     return 0
 

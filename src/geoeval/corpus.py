@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, TextIO
@@ -415,14 +416,8 @@ def apply_exclusion_policy(docs: Iterable[Document], index: GazetteerIndex) -> E
                 abs(ann.coord.lat - entry.coord.lat) > COORD_AGREEMENT_DEG
                 or abs(ann.coord.lon - entry.coord.lon) > COORD_AGREEMENT_DEG
             ):
-                log.warning(
-                    "%s: annotated coordinates %s disagree with gazetteer entry %d %s; "
-                    "keeping the annotated value",
-                    doc.doc_id,
-                    ann.coord,
-                    entry.id,
-                    entry.coord,
-                )
+                log.warning("%s: annotated coordinates %s disagree with gazetteer entry %d %s; "
+                            "keeping the annotated value", doc.doc_id, ann.coord, entry.id, entry.coord)
             kept.append((doc.doc_id, ann))
     return ExclusionResult(kept=kept, excluded=excluded)
 
@@ -434,6 +429,7 @@ class PredictionError:
 
 
 PREDICTION_FIELDS = 7
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")  # what int() reads, less its underscores
 
 
 def load_predictions(lines: Iterable[str]) -> tuple[list[PredictionRecord], list[PredictionError]]:
@@ -457,24 +453,17 @@ def load_predictions(lines: Iterable[str]) -> tuple[list[PredictionRecord], list
         doc_id, start_s, end_s, surface, label, lat_s, lon_s = fields
         try:
             start, end = int(start_s), int(end_s)
-        except ValueError:
-            errors.append(PredictionError(line_no, f"non-integer span: {start_s!r}, {end_s!r}"))
+        except ValueError:  # not integers, or more digits than int() converts
+            too_long = _INTEGER.fullmatch(start_s) and _INTEGER.fullmatch(end_s)
+            reason = f"non-integer span: {reprlib.repr(start_s)}, {reprlib.repr(end_s)}"
+            errors.append(PredictionError(line_no, "an offset has too many digits" if too_long else reason))
             continue
         if (lat_s == "") != (lon_s == ""):
             errors.append(PredictionError(line_no, "lat and lon must both be present or both empty"))
             continue
         try:
             coord = Coordinate(float(lat_s), float(lon_s)) if lat_s else None
-            records.append(
-                PredictionRecord(
-                    doc_id=doc_id,
-                    start=start,
-                    end=end,
-                    surface=surface,
-                    predicted_label=label or None,
-                    predicted_coord=coord,
-                )
-            )
+            records.append(PredictionRecord(doc_id, start, end, surface, label or None, coord))
         except ValueError as exc:
             errors.append(PredictionError(line_no, str(exc)))
     return records, errors

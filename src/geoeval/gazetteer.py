@@ -194,9 +194,6 @@ class GazetteerIndex:
     def __len__(self) -> int:
         return len(self._columns.ids)
 
-    def __contains__(self, entry_id: int) -> bool:
-        return self._position(entry_id) is not None
-
     def _position(self, entry_id: int) -> Optional[int]:
         if self._positions is None:
             self._positions = dict(zip(self._columns.ids, range(len(self))))

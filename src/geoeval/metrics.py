@@ -9,12 +9,17 @@ so that zero-error resolutions integrate to zero instead of diverging; the
 normaliser ln(1 + 20039) keeps the all-worst-case distribution at exactly
 1.0. `evaluate` runs the whole scoring of one system (gold selection,
 matching, one metric section, the paired test against a second system)
-for both eval subcommands.
+for both eval subcommands. Every view of a report is rendered here too:
+the report text and CSV rows, which `write_report` writes and appends,
+and each paired test's stdout verdict line (`stat_test_line`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import math
+import os
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -29,6 +34,9 @@ from .resolver import MIN_RESOLVED_FRACTION
 from .stats import McNemarTable, StatTestResult, mcnemar, wilcoxon_signed_rank
 
 DEFAULT_THRESHOLD_KM = 161.0
+
+# Significance levels each paired test's verdict line is stated at.
+REPORTING_ALPHAS = (0.05, 0.01)
 
 _LOG_MAX = math.log1p(MAX_ERROR_KM)
 
@@ -487,3 +495,52 @@ def report_csv_rows(report: EvalReport) -> list[list[str]]:
     tail = [test.name, test.statistic, test.p_value, test.n] if test else [None] * 4
     accuracies = [(f"{km:g}", acc) for km, acc in sorted(g.accuracy_at_km.items())] if g else [(None, None)]
     return [[fmt(v) for v in (*head, km, acc, *tail)] for km, acc in accuracies]
+
+
+def write_report(report: EvalReport, out_path: str, csv_path: Optional[str] = None) -> str:
+    """Write the report to `out_path`, append its CSV rows to `csv_path`, and return the report text.
+
+    The CSV is checked and opened first, so a refused CSV leaves no report behind.
+    """
+    rendered = render_report(report)
+    with contextlib.ExitStack() as files:
+        if csv_path:
+            lead = _csv_lead(csv_path)
+            rows = files.enter_context(open(csv_path, "a", newline="", encoding="utf-8"))
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(rendered)
+        if csv_path:
+            rows.write(lead)
+            csv.writer(rows, lineterminator="\n").writerows(report_csv_rows(report))
+    return rendered
+
+
+def _csv_lead(path: str) -> str:
+    """What to write before the rows appended to the CSV file at `path`.
+
+    The header for a new or empty file, else the line end its last row lacks, if any. A file
+    with another header, or one that cannot be read as UTF-8 CSV, raises ValueError naming it.
+    """
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
+        return ",".join(REPORT_CSV_COLUMNS) + "\n"  # no column name needs quoting
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            found = next(csv.reader(fh), None)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"cannot read CSV file {path}: {exc}") from exc
+    if found != list(REPORT_CSV_COLUMNS):
+        raise ValueError(f"CSV file {path} has another header; append to a new file")
+    with open(path, "rb") as fh:
+        fh.seek(-1, os.SEEK_END)
+        return "" if fh.read(1) in b"\r\n" else "\n"
+
+
+def stat_test_line(test: StatTestResult) -> str:
+    """A paired test's stdout line: its statistic, p-value and verdict at each REPORTING_ALPHAS level."""
+    verdicts = "; ".join(
+        f"{'significant' if test.p_value < alpha else 'not significant'} at {alpha}"
+        for alpha in REPORTING_ALPHAS
+    )
+    if test.name == "wilcoxon":
+        return f"wilcoxon: z={test.statistic:.4f} p={test.p_value:.6g} n={test.n} ({verdicts})"
+    return f"{test.name}: statistic={test.statistic:.4f} p={test.p_value:.6g} ({verdicts})"

@@ -137,14 +137,11 @@ def align_to_gazetteer(
     out: list[PredictionRecord] = []
     flagged: list[int] = []
     for i, rec in enumerate(records):
-        if rec.predicted_coord is None:
-            out.append(rec)
-            flagged.append(i)
-            continue
-        entry = nearest_entry(index, rec.surface, rec.predicted_coord)
+        coord = rec.predicted_coord
+        entry = None if coord is None else nearest_entry(index, rec.surface, coord)
         if entry is None:
             out.append(rec)
             flagged.append(i)
-            continue
-        out.append(_with_coord(rec, entry.coord))
+        else:
+            out.append(_with_coord(rec, entry.coord))
     return AlignmentResult(records=out, n_aligned=len(out) - len(flagged), flagged=flagged)

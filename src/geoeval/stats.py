@@ -24,8 +24,6 @@ MCNEMAR_RELIABLE_MIN = 25
 # Below this many nonzero differences the normal approximation is weak.
 WILCOXON_SMALL_N = 10
 
-REPORTING_ALPHAS = (0.05, 0.01)
-
 
 @dataclass(frozen=True)
 class StatTestResult:

@@ -4,8 +4,10 @@ The dictionary tagger is an end-to-end stand-in for external NER systems:
 it scans token n-grams left to right, longest match first, and emits any
 span whose case-folded surface is a gazetteer hit. Precision lives or
 dies by the blocklist, which suppresses common words that happen to be
-place names ("nice", "of", "mobile"). The oracle tagger copies gold spans
-verbatim and exists to isolate geocoding performance from NER quality.
+place names ("nice", "of", "mobile"); this module owns the default list
+and the blocklist file format (`load_blocklist`). The oracle tagger
+copies gold spans verbatim and exists to isolate geocoding performance
+from NER quality.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ DEFAULT_BLOCKLIST = frozenset(
     will with york young
     """.split()
 )
+
+
+def load_blocklist(lines: Iterable[str]) -> frozenset[str]:
+    """Parse a blocklist: one surface per line, case-folded; blank lines are skipped."""
+    return frozenset(line.strip().casefold() for line in lines if line.strip())
 
 
 def token_spans(text: str) -> list[tuple[int, int]]:
@@ -84,15 +91,7 @@ def gazetteer_tag(
             key = surface.casefold()
             if key in blocked or not index.has_name(key):
                 continue
-            records.append(
-                PredictionRecord(
-                    doc_id=doc.doc_id,
-                    start=start,
-                    end=end,
-                    surface=surface,
-                    predicted_label=LOCATION_LABEL,
-                )
-            )
+            records.append(PredictionRecord(doc.doc_id, start, end, surface, LOCATION_LABEL))
             i += n
             matched = True
             break
@@ -107,13 +106,4 @@ def oracle_spans(gold: Iterable[tuple[str, ToponymAnnotation]]) -> list[Predicti
     Pass the exclusion policy's `kept` spans when the oracle should cover
     only the geocodable subset, or `corpus.gold_spans(docs)` for all gold.
     """
-    return [
-        PredictionRecord(
-            doc_id=doc_id,
-            start=ann.start,
-            end=ann.end,
-            surface=ann.surface,
-            predicted_label=LOCATION_LABEL,
-        )
-        for doc_id, ann in gold
-    ]
+    return [PredictionRecord(doc_id, ann.start, ann.end, ann.surface, LOCATION_LABEL) for doc_id, ann in gold]

@@ -1,11 +1,23 @@
 import argparse
+import collections
+import contextlib
 import csv
+import io
 import json
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geoeval.cli import build_parser, main
+from geoeval.corpus import Document, ToponymAnnotation, load_directory, load_predictions, serialize_brat
+from geoeval.geodesy import Coordinate
+from geoeval.metrics import MatchMode, evaluate, render_report
+from geoeval.taxonomy import TaxonomyType
 
 from conftest import TOY_DUMP_LINES, write_brat_doc
 
@@ -916,3 +928,143 @@ def test_gold_directory_name_with_a_line_break_needs_a_dataset_id(tmp_path, caps
     assert not report.exists()
     assert main(argv + ["--dataset-id", "gold"]) == 0
     assert report.read_text(encoding="utf-8").startswith("dataset_id: gold\n")
+
+
+def test_a_prediction_offset_too_long_to_read_is_named_with_its_line(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    pred, report = tmp_path / "p.pred", tmp_path / "r.txt"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\ndoc2\t0\t" + "9" * 5_000 + "\tLondon\tLocation\t\t\n",
+                    encoding="utf-8")
+    argv = ["eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(report)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}:2: an offset has too many digits\n" in err
+    assert len(err) < 300 + 2 * len(str(pred))
+    assert not report.exists()
+    assert main(argv + ["--lenient"]) == 0
+    assert "n_predicted: 1\n" in report.read_text(encoding="utf-8")
+
+
+_WRITERS = {
+    "ingest": (["ingest", "--dump", "{dump}", "--cache", "{bad}"], "--cache"),
+    "baseline": (["baseline", "--gold", "{gold}", "--cache", "{cache}", "--oracle-ner", "--out", "{bad}"],
+                 "--out"),
+    "eval-tagging": (["eval-tagging", "--gold", "{gold}", "--pred", "{pred}", "--out", "{tmp}/r.txt",
+                      "--csv", "{bad}"], "--csv"),
+    "eval-geocoding": (["eval-geocoding", "--gold", "{gold}", "--pred", "{pred}", "--out", "{bad}"], "--out"),
+    "align": (["align", "--pred", "{pred}", "--cache", "{cache}", "--out", "{bad}"], "--out"),
+    "folds": (["folds", "--gold", "{gold}", "--out", "{bad}"], "--out"),
+    "augment": (["augment", "--gold", "{gold}", "--out", "{bad}"], "--out"),
+}
+
+
+@pytest.mark.parametrize("bad", ["{tmp}/missing/out", "{tmp}/a_directory", ""],
+                         ids=["no-such-directory", "a-directory", "empty"])
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_an_output_no_file_can_be_written_at_is_refused_before_any_input_is_read(tmp_path, capsys, command,
+                                                                                 bad):
+    gold = build_corpus(tmp_path)
+    dump, cache = build_cache(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.8566\t2.3522\n", encoding="utf-8")
+    (tmp_path / "a_directory").mkdir()
+    bad = bad.format(tmp=tmp_path)
+    argv, flag = _WRITERS[command]
+    paths = {"tmp": tmp_path, "gold": gold, "dump": dump, "cache": cache, "pred": pred, "bad": bad}
+    before = sorted((p, p.is_dir() or p.read_bytes()) for p in tmp_path.rglob("*"))
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert f"error: {flag} {bad} is not a file in an existing directory\n" in capsys.readouterr().err
+    assert sorted((p, p.is_dir() or p.read_bytes()) for p in tmp_path.rglob("*")) == before
+
+
+def test_a_gold_directory_without_document_pairs_is_refused(tmp_path, capsys):
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    (gold / "orphan.txt").write_text("Paris sleeps.", encoding="utf-8")
+    assert main(["folds", "--gold", str(gold), "--out", str(tmp_path / "folds.json")]) == 1
+    assert f"error: no .txt/.ann document pairs under {gold}\n" in capsys.readouterr().err
+    assert not (tmp_path / "folds.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"gold"', "null"], ids=["list", "string", "null"])
+def test_a_config_that_is_not_a_json_object_is_refused(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    argv = ["--config", str(config), "folds", "--gold", str(build_corpus(tmp_path)),
+            "--out", str(tmp_path / "f.json")]
+    assert main(argv) == 1
+    assert f"error: config {config} must be a JSON object\n" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+_TEXT = "Alba met Brno and Cork, then Dover met Essen in Fife."
+_WORDS = [m.span() for m in re.finditer(r"\w+", _TEXT)]
+# Few spans, some overlapping several words, so that predictions often tie on a span.
+_SPANS = _WORDS[:2] + [(0, 8), (2, 6)]
+_COORDS = st.builds(Coordinate, st.integers(-90, 90).map(float), st.integers(-180, 180).map(float))
+
+
+@st.composite
+def _corpus_and_systems(draw):
+    """Documents over one text, and the prediction lines of two systems."""
+    docs = []
+    for i in range(draw(st.integers(1, 2))):
+        spans = draw(st.lists(st.sampled_from(_WORDS[:4]), unique=True, max_size=4))
+        docs.append(Document(f"d{i}", _TEXT, [
+            ToponymAnnotation(s, e, _TEXT[s:e], TaxonomyType.LITERAL, coord=draw(_COORDS | st.none()))
+            for s, e in sorted(spans)
+        ]))
+    line = st.tuples(st.sampled_from([d.doc_id for d in docs] + ["elsewhere"]), st.sampled_from(_SPANS),
+                     st.none() | _COORDS).map(
+        lambda t: f"{t[0]}\t{t[1][0]}\t{t[1][1]}\t{_TEXT[t[1][0]:t[1][1]]}\tLocation\t"
+                  + (f"{t[2].lat:.6f}\t{t[2].lon:.6f}\n" if t[2] else "\t\n"))
+    return docs, draw(st.lists(line, max_size=12)), draw(st.none() | st.lists(line, max_size=12))
+
+
+def _shuffled_keeping_span_ties(records, order):
+    """`records` in `order`, except that records of one (doc_id, start, end) keep their relative order."""
+    queues = collections.defaultdict(collections.deque)
+    for rec in records:
+        queues[rec.doc_id, rec.span].append(rec)
+    return [queues[records[i].doc_id, records[i].span].popleft() for i in order]
+
+
+@pytest.mark.parametrize("mode", ["exact", "overlap"])
+@pytest.mark.parametrize("command", ["eval-tagging", "eval-geocoding"])
+@given(data=_corpus_and_systems(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_the_report_file_is_the_rendered_evaluation_whatever_the_input_order(command, mode, data, rnd):
+    docs, lines, lines_b = data
+    thresholds = [5.0, 161.0] if command == "eval-geocoding" else None
+    with tempfile.TemporaryDirectory() as tmp:
+        gold, pred, pred_b, out = (os.path.join(tmp, name) for name in ("gold", "a.pred", "b.pred", "r.txt"))
+        os.mkdir(gold)
+        for doc in docs:
+            text, ann = serialize_brat(doc)
+            Path(gold, f"{doc.doc_id}.txt").write_text(text, encoding="utf-8")
+            Path(gold, f"{doc.doc_id}.ann").write_text(ann, encoding="utf-8")
+        Path(pred).write_text("".join(lines), encoding="utf-8")
+        argv = [command, "--gold", gold, "--pred", pred, "--mode", mode, "--out", out, "--dataset-id", "prop"]
+        if lines_b is not None:
+            Path(pred_b).write_text("".join(lines_b), encoding="utf-8")
+            argv += ["--pred-b", pred_b]
+        if thresholds:
+            argv += ["--thresholds", "5,161"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        written = Path(out).read_bytes()
+        loaded = load_directory(gold)
+    records, errors = load_predictions(lines)
+    records_b = load_predictions(lines_b)[0] if lines_b is not None else None
+    assert errors == []
+
+    def report(docs, records, records_b):
+        return render_report(evaluate(docs, records, "prop", mode=MatchMode(mode), thresholds_km=thresholds,
+                                      pred_b=records_b)).encode("utf-8")
+
+    assert written == report(loaded, records, records_b)
+    rnd.shuffle(loaded)
+    shuffled = _shuffled_keeping_span_ties(records, rnd.sample(range(len(records)), len(records)))
+    if records_b is not None:
+        records_b = _shuffled_keeping_span_ties(records_b, rnd.sample(range(len(records_b)), len(records_b)))
+    assert written == report(loaded, shuffled, records_b)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import logging
 import os
 
 import pytest
@@ -385,6 +386,17 @@ def test_exclusion_keeps_annotated_coord_override(toy_index):
     assert result.kept[0][1].coord == override
 
 
+def test_exclusion_warns_when_annotated_coords_disagree_with_the_gazetteer(toy_index, caplog):
+    far = Coordinate(40.0, 2.3522)  # about 980 km south of gazetteer entry 1004
+    doc = Document("d", "Paris is calm.", [_ann(0, 5, "Paris", gazetteer_id=1004, coord=far)])
+    with caplog.at_level(logging.WARNING, logger="geoeval.corpus"):
+        result = apply_exclusion_policy([doc], toy_index)
+    assert result.kept[0][1].coord == far
+    (message,) = [r.getMessage() for r in caplog.records]
+    assert message.startswith("d: annotated coordinates ") and "disagree with gazetteer entry 1004" in message
+    assert message.endswith("keeping the annotated value")
+
+
 def test_load_predictions_full_line():
     records, errors = load_predictions(["doc1\t4\t10\tLondon\tLocation\t48.8500\t2.3500\n"])
     assert errors == []
@@ -418,6 +430,20 @@ def test_load_predictions_mixed_errors():
     assert [e.line_no for e in errors] == [2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "start, end, message",
+    [("0", "9" * 5_000, "an offset has too many digits"),
+     (" +0 ", "٣" * 5_000, "an offset has too many digits"),  # int() reads Arabic-Indic digits too
+     ("0", "x" * 5_000, "non-integer span: '0', 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+     ("1.5", "9" * 5_000, "non-integer span: '1.5', '999999999999...9999999999999'")],
+    ids=["digits", "signed-other-digits", "letters", "one-not-an-integer"],
+)
+def test_load_predictions_reports_a_long_offset_field_in_a_short_message(start, end, message):
+    records, errors = load_predictions(["doc1\t0\t5\tParis\t\t\t\n", f"doc1\t{start}\t{end}\tParis\t\t\t\n"])
+    assert len(records) == 1
+    assert [(e.line_no, e.message) for e in errors] == [(2, message)]
+
+
 def test_predictions_write_read_roundtrip():
     records = [
         PredictionRecord("a", 0, 5, "Paris", "Location", Coordinate(48.8566, 2.3522)),
@@ -438,6 +464,17 @@ def test_load_directory(tmp_path):
     docs = load_directory(str(tmp_path))
     assert [d.doc_id for d in docs] == ["a_doc", "b_doc"]
     assert gold_spans(docs)[0][0] == "a_doc"
+
+
+def test_load_directory_skips_a_txt_without_an_ann_with_a_warning(tmp_path, caplog):
+    write_brat_doc(tmp_path, "a_doc", "Paris sleeps.", "T1\tLiteral 0 5\tParis\n")
+    (tmp_path / "b_doc.txt").write_text("London calling.", encoding="utf-8")
+    (tmp_path / "notes.md").write_text("not a document", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="geoeval.corpus"):
+        docs = load_directory(str(tmp_path))
+    assert [d.doc_id for d in docs] == ["a_doc"]
+    orphan = tmp_path / "b_doc.txt"
+    assert [r.getMessage() for r in caplog.records] == [f"no .ann file for {orphan}; skipping"]
 
 
 def test_load_directory_crlf_text(tmp_path):

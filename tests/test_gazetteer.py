@@ -1018,3 +1018,11 @@ def test_an_index_loaded_from_its_cache_scores_the_same_reports(case, populated_
         save_cache(index, path)
         loaded = load_cache(path)
     assert _reports(loaded, docs, coords, populated_only) == _reports(index, docs, coords, populated_only)
+
+
+def test_a_line_with_a_blank_name_is_skipped():
+    blank = geonames_line(2, " ", 3.0, 4.0)
+    assert gazetteer._parse_row(blank) is None
+    index = ingest([geonames_line(1, "Goodtown", 1.0, 2.0), blank])
+    assert (index.summary.ingested, index.summary.skipped) == (1, 1)
+    assert index.lookup(" ") == () and index.lookup("") == ()

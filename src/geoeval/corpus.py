@@ -350,17 +350,15 @@ def load_document_pair(txt_path: str, ann_path: str) -> Document:
 
 
 def load_directory(path: str) -> list[Document]:
-    """Load every .txt/.ann pair under `path`, sorted by document id."""
+    """Load every .txt/.ann pair under `path`, sorted by document id; a file without its pair is logged."""
     docs = []
     for name in sorted(os.listdir(path)):
-        if not name.endswith(".txt"):
-            continue
-        txt_path = os.path.join(path, name)
-        ann_path = txt_path[:-4] + ".ann"
-        if not os.path.exists(ann_path):
-            log.warning("no .ann file for %s; skipping", txt_path)
-            continue
-        docs.append(load_document_pair(txt_path, ann_path))
+        stem, ext = os.path.join(path, name[:-4]), name[-4:]
+        pair = stem + (".ann" if ext == ".txt" else ".txt")
+        if ext in (".txt", ".ann") and not os.path.exists(pair):
+            log.warning("no %s file for %s; skipping", pair[-4:], stem + ext)
+        elif ext == ".txt":
+            docs.append(load_document_pair(stem + ext, pair))
     return docs
 
 

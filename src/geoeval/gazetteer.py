@@ -15,7 +15,6 @@ the index's one constructor ranked columns.
 from __future__ import annotations
 
 import bisect
-import gc
 import hashlib
 import json
 import logging
@@ -26,7 +25,6 @@ import reprlib
 import sys
 from array import array
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -39,8 +37,7 @@ GEONAMES_FIELD_COUNT = 19
 
 # Format 4 is one JSON header line (see _HEADER_CHECKS), then the raw bytes of
 # each column in _SECTIONS order, in the writer's byte order, then the names
-# as UTF-8: per row its canonical and alternate names joined by tabs, and a
-# line feed.
+# column as UTF-8, each row's line ended by a line feed.
 CACHE_FORMAT_VERSION = 4
 _CHECKSUM = re.compile(r"sha256:[0-9a-f]{16}")  # what dump_checksum writes, and reports print
 _SECTIONS = ("ids", "populations", "latitudes", "longitudes", "codes", "names")
@@ -78,11 +75,12 @@ class _Columns:
 
     Ids and populations are int64, latitudes and longitudes float64, and
     each row's code indexes `triples`, the distinct (feature class, feature
-    code, country code) triples. `names` holds each row's canonical name and
-    `alternates` its alternate names (the empty tuple for most rows).
+    code, country code) triples. `names` holds each row's names as its line
+    in the cache: the canonical name, then the sorted alternate names, joined
+    by tabs.
     """
 
-    __slots__ = ("ids", "populations", "lats", "lons", "codes", "triples", "names", "alternates")
+    __slots__ = ("ids", "populations", "lats", "lons", "codes", "triples", "names")
 
     def __init__(self):
         self.ids, self.populations = array("q"), array("q")
@@ -90,7 +88,6 @@ class _Columns:
         self.codes = array("I")
         self.triples: list[tuple[str, str, str]] = []
         self.names: list[str] = []
-        self.alternates: list[tuple[str, ...]] = []
 
     def arrays(self) -> tuple[array, ...]:
         """The fixed-width columns, in _SECTIONS order."""
@@ -101,18 +98,26 @@ def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
     """Rows as columns in rank order, with the triples coded in order of first use.
 
     A row is (id, name, alternates, lat, lon, population, feature class,
-    feature code, country code).
+    feature code, country code); its names are joined into one line, so a
+    name that holds a tab or a line feed is refused.
     """
     c = _Columns()
     code_of: dict[tuple[str, str, str], int] = {}
+    tabs = 0  # the separators joined in
     for eid, name, alternates, lat, lon, population, fclass, fcode, country in rows:
         c.ids.append(eid)
         c.populations.append(population)
         c.lats.append(lat)
         c.lons.append(lon)
         c.codes.append(code_of.setdefault((fclass, fcode, country), len(code_of)))
+        if alternates:
+            name = "\t".join((name, *alternates))
+            tabs += len(alternates)
         c.names.append(name)
-        c.alternates.append(alternates)
+    text = "".join(c.names)
+    if "\n" in text or text.count("\t") != tabs:
+        raise GazetteerError("a gazetteer name holds a tab or a line feed")
+    del text
     # Descending population, then ascending id: both sorts are stable.
     order = sorted(range(len(c.ids)), key=c.ids.__getitem__)
     order.sort(key=c.populations.__getitem__, reverse=True)
@@ -125,25 +130,7 @@ def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
         for column in (c.ids, c.populations, c.lats, c.lons)
     )
     c.names = list(map(c.names.__getitem__, order))
-    c.alternates = list(map(c.alternates.__getitem__, order))
     return c
-
-
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic collector, if it runs, for the block.
-
-    Columns, names and the index that files them are acyclic, so a
-    collection while they are built would free nothing, and each would walk
-    the objects built so far again.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
 
 
 class GazetteerIndex:
@@ -165,15 +152,14 @@ class GazetteerIndex:
                  feature_classes: Optional[Iterable[str]]):
         name_map: dict = {}
         shared = []  # keys filed under more than one row, kept as lists until the end
-        for pos, (name, alternates) in enumerate(zip(columns.names, columns.alternates)):
-            name = name.casefold()
-            for key in {name, *map(str.casefold, alternates)} if alternates else (name,):
+        for pos, row in enumerate(columns.names):
+            for key in row.casefold().split("\t"):
                 found = name_map.setdefault(key, pos)
-                if found is not pos:  # filed under an earlier row
+                if found is not pos:  # filed under an earlier row (a list may end with this one)
                     if type(found) is int:
                         name_map[key] = [found, pos]
                         shared.append(key)
-                    else:
+                    elif found[-1] != pos:
                         found.append(pos)
         for key in shared:
             name_map[key] = tuple(name_map[key])
@@ -207,8 +193,9 @@ class GazetteerIndex:
         entry = self._entries.get(pos)
         if entry is None:
             c = self._columns
+            name, *alternates = c.names[pos].split("\t")
             entry = self._entries[pos] = GazetteerEntry(
-                c.ids[pos], c.names[pos], frozenset(c.alternates[pos]), Coordinate(c.lats[pos], c.lons[pos]),
+                c.ids[pos], name, frozenset(alternates), Coordinate(c.lats[pos], c.lons[pos]),
                 c.populations[pos], *c.triples[c.codes[pos]],
             )
         return entry
@@ -366,9 +353,8 @@ def ingest(
     records whose single-letter feature class is in the set.
     """
     summary = IngestSummary()
-    with _collector_paused():
-        columns = _ranked_columns(_dump_rows(lines, feature_classes, summary))
-        index = GazetteerIndex(columns, version, summary, feature_classes)
+    index = GazetteerIndex(_ranked_columns(_dump_rows(lines, feature_classes, summary)),
+                           version, summary, feature_classes)
     summary.ingested = len(index)
     return index
 
@@ -397,12 +383,7 @@ def save_cache(index: GazetteerIndex, path: str) -> None:
     if not _CHECKSUM.fullmatch(index.version):
         raise GazetteerError(f"cannot cache index version {index.version!r}: not a dump checksum")
     c = index._columns
-    lines = ["\t".join((name, *alts)) if alts else name for name, alts in zip(c.names, c.alternates)]
-    lines.append("")  # so that the last row ends with a line feed too
-    text = "\n".join(lines)
-    if text.count("\n") != len(index) or text.count("\t") != sum(map(len, c.alternates)):
-        raise GazetteerError("cannot cache a gazetteer name that holds a tab or a line feed")
-    names = text.encode("utf-8")
+    names = "\n".join([*c.names, ""]).encode("utf-8")  # the last row ends with a line feed too
     header = {
         "format": CACHE_FORMAT_VERSION,
         "byteorder": sys.byteorder,
@@ -487,34 +468,22 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
     if not _ranked(c.ids, c.populations):
         raise ValueError("the rows are out of rank order")
 
-    rows = fh.read(sizes[5]).decode("utf-8").split("\n")
-    if len(rows) != n + 1 or rows.pop():
+    c.names = fh.read(sizes[5]).decode("utf-8").split("\n")
+    if len(c.names) != n + 1 or c.names.pop():
         raise ValueError(f"the names section does not hold {n} lines")
-    c.names, c.alternates = rows, [()] * n
-    for pos, row in enumerate(rows):
-        if "\t" in row:
-            rows[pos], *alternates = row.split("\t")
-            c.alternates[pos] = tuple(alternates)
     return GazetteerIndex(c, header["checksum"], IngestSummary(*header["counts"]), header["feature_classes"])
 
 
 def load_cache(path: str) -> GazetteerIndex:
     """The cached index, every column checked; GazetteerError when the file is unusable."""
-    # The loaded index is long-lived, so once it is built it is frozen (with
-    # every object alive then) out of the collector's later scans, which
-    # would otherwise walk all of its objects again in each generation. A
-    # frozen object is still freed when its last reference goes.
-    with _collector_paused():
-        try:
-            with open(path, "rb") as fh:
-                index = _read_cache(fh, os.fstat(fh.fileno()).st_size)
-            gc.freeze()
-            return index
-        # A deeply nested header gives RecursionError.
-        except (OSError, ValueError, OverflowError, MemoryError, RecursionError) as exc:
-            raise GazetteerError(
-                f"cannot use gazetteer cache {path} ({exc}); rerun `geoeval ingest` to rebuild it"
-            ) from exc
+    try:
+        with open(path, "rb") as fh:
+            return _read_cache(fh, os.fstat(fh.fileno()).st_size)
+    # A deeply nested header gives RecursionError.
+    except (OSError, ValueError, OverflowError, MemoryError, RecursionError) as exc:
+        raise GazetteerError(
+            f"cannot use gazetteer cache {path} ({exc}); rerun `geoeval ingest` to rebuild it"
+        ) from exc
 
 
 def load_or_ingest(

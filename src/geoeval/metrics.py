@@ -524,7 +524,7 @@ def _csv_lead(path: str) -> str:
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return ",".join(REPORT_CSV_COLUMNS) + "\n"  # no column name needs quoting
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a spreadsheet may lead with a BOM
             found = next(csv.reader(fh), None)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"cannot read CSV file {path}: {exc}") from exc

@@ -476,6 +476,23 @@ def test_csv_row_appended_after_a_last_row_with_no_line_feed(tmp_path, ending):
     assert rows == [rows[0], rows[0]] and len(rows[0]) == len(header)
 
 
+def test_csv_row_appended_to_a_file_a_spreadsheet_saved_with_a_bom(tmp_path):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    csv_path = tmp_path / "rows.csv"
+    argv = ["eval-tagging", "--gold", str(gold), "--pred", str(pred),
+            "--out", str(tmp_path / "r.txt"), "--csv", str(csv_path)]
+    assert main(argv) == 0
+    first = csv_path.read_bytes()
+    csv_path.write_bytes(b"\xef\xbb\xbf" + first)
+    assert main(argv) == 0
+    appended = csv_path.read_bytes()
+    assert appended.startswith(b"\xef\xbb\xbf" + first)
+    header, *rows = first.decode("utf-8").splitlines()
+    assert appended[3:].decode("utf-8").splitlines() == [header, *rows, *rows]
+
+
 def test_a_cache_whose_checksum_would_forge_a_report_line_is_refused(tmp_path, capsys):
     gold = build_corpus(tmp_path)
     _, cache = build_cache(tmp_path)

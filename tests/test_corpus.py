@@ -477,6 +477,17 @@ def test_load_directory_skips_a_txt_without_an_ann_with_a_warning(tmp_path, capl
     assert [r.getMessage() for r in caplog.records] == [f"no .ann file for {orphan}; skipping"]
 
 
+def test_load_directory_skips_an_ann_without_a_txt_with_a_warning(tmp_path, caplog):
+    write_brat_doc(tmp_path, "a_doc", "Paris sleeps.", "T1\tLiteral 0 5\tParis\n")
+    write_brat_doc(tmp_path, "b_doc", "London calling.", "T1\tLiteral 0 6\tLondon\n")
+    (tmp_path / "b_doc.txt").rename(tmp_path / "b_doc.TXT")  # misnamed, so b_doc.ann has no text
+    with caplog.at_level(logging.WARNING, logger="geoeval.corpus"):
+        docs = load_directory(str(tmp_path))
+    assert [d.doc_id for d in docs] == ["a_doc"]
+    orphan = tmp_path / "b_doc.ann"
+    assert [r.getMessage() for r in caplog.records] == [f"no .txt file for {orphan}; skipping"]
+
+
 def test_load_directory_crlf_text(tmp_path):
     text = "Storms hit.\r\nParis flooded.\r\nLondon too.\r\n"
     p_start, l_start = text.index("Paris"), text.index("London")

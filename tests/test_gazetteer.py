@@ -256,14 +256,10 @@ def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version)
 
 @pytest.mark.parametrize("name, alternates", [("New\nYork", ()), ("York", ("New\tYork",))],
                          ids=["line-feed-in-a-name", "tab-in-an-alternate"])
-def test_save_cache_refuses_a_name_its_names_section_could_not_split(tmp_path, name, alternates):
-    rows = [(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")]
-    index = gazetteer.GazetteerIndex(gazetteer._ranked_columns(rows), "sha256:0123456789abcdef",
-                                     gazetteer.IngestSummary(1), None)
-    cache = tmp_path / "names.cache"
+def test_save_cache_refuses_a_name_its_names_section_could_not_split(name, alternates):
+    # Refused where the row's names are joined into its line, so no index, and no cache, holds it.
     with pytest.raises(GazetteerError, match="tab or a line feed"):
-        save_cache(index, str(cache))
-    assert not cache.exists()
+        gazetteer._ranked_columns([(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")])
 
 
 def test_cache_rejects_bad_format(tmp_path):
@@ -609,9 +605,7 @@ def test_ingest_leaves_the_collector_as_it_found_it(collecting):
 def test_a_cycle_made_after_load_cache_is_collected(tmp_path, toy_index):
     cache = tmp_path / "toy.cache"
     save_cache(toy_index, str(cache))
-    frozen = gc.get_freeze_count()
     loaded = load_cache(str(cache))
-    assert gc.get_freeze_count() > frozen  # the loaded index left the collector's scans
 
     class Node:
         pass
@@ -625,13 +619,37 @@ def test_a_cycle_made_after_load_cache_is_collected(tmp_path, toy_index):
     assert loaded.lookup("paris")
 
 
-def test_a_refused_cache_freezes_nothing(tmp_path):
-    cache = tmp_path / "bad.cache"
-    cache.write_bytes(b"not a pickle")
+@pytest.mark.parametrize("case", ["good-cache", "refused-cache", "ingest"])
+def test_neither_loading_nor_ingesting_freezes_the_collector(tmp_path, toy_index, case):
+    cache = tmp_path / "toy.cache"
+    if case == "good-cache":
+        save_cache(toy_index, str(cache))
+    else:
+        cache.write_bytes(b"not a pickle")
     frozen = gc.get_freeze_count()
-    with pytest.raises(GazetteerError):
+    if case == "good-cache":
         load_cache(str(cache))
+    elif case == "refused-cache":
+        with pytest.raises(GazetteerError):
+            load_cache(str(cache))
+    else:
+        ingest(TOY_DUMP_LINES)
     assert gc.get_freeze_count() == frozen
+
+
+def _tracked_objects() -> int:
+    gc.collect()
+    return len(gc.get_objects()) + gc.get_freeze_count()
+
+
+def test_loading_a_cache_adds_few_objects_for_the_collector_to_track(tmp_path):
+    lines = [geonames_line(i, f"Town{i}", 1.0, 1.0, alternates=f"Burgh{i},Ville{i}") for i in range(1, 301)]
+    cache = tmp_path / "alternates.cache"
+    save_cache(ingest(lines, version="sha256:0123456789abcdef"), str(cache))
+    before = _tracked_objects()
+    loaded = load_cache(str(cache))
+    assert _tracked_objects() - before < 50
+    assert [e.id for e in loaded.lookup("ville300")] == [300]
 
 
 def test_load_or_ingest_cache_hit(tmp_path):

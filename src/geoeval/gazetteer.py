@@ -1,10 +1,11 @@
 """Geonames-style gazetteer ingest and case-folded name lookup.
 
 The index keeps its entries as columns, one row per entry in rank order
-(descending population, then ascending id), and maps every canonical and
-alternate name (Unicode-casefolded, no diacritic stripping) to the rows of
-its candidates. It is immutable once built and can be persisted to a cache
-of those columns keyed by the dump checksum, so repeated evaluations skip
+(descending population, then ascending id). Its first name query maps every
+canonical and alternate name (Unicode-casefolded, no diacritic stripping) to
+the rows of its candidates, so a load or an ingest that no name query follows
+files none. It is immutable once built and can be persisted to a cache of
+those columns keyed by the dump checksum, so repeated evaluations skip
 re-parsing the dump. An entry object is built only when a query returns it.
 
 Each rule on the data is checked once, where it enters (by `_parse_row` and
@@ -26,6 +27,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import astuple, dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .geodesy import Coordinate, great_circle_distance
@@ -121,15 +123,16 @@ def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
     # Descending population, then ascending id: both sorts are stable.
     order = sorted(range(len(c.ids)), key=c.ids.__getitem__)
     order.sort(key=c.populations.__getitem__, reverse=True)
-    triples, recoded = list(code_of), {}
-    codes = [recoded.setdefault(c.codes[i], len(recoded)) for i in order]
+    # One gather per column; itemgetter returns a tuple only for two or more indices.
+    gather = itemgetter(*order) if len(order) > 1 else lambda column: [column[i] for i in order]
+    c.ids, c.populations = array("q", gather(c.ids)), array("q", gather(c.populations))
+    c.lats, c.lons = array("d", gather(c.lats)), array("d", gather(c.lons))
+    codes = gather(c.codes)
+    recoded = {code: new for new, code in enumerate(dict.fromkeys(codes))}  # in order of first use
+    triples = list(code_of)
     c.triples = [triples[code] for code in recoded]
-    c.codes = array("I", codes)
-    c.ids, c.populations, c.lats, c.lons = (
-        array(column.typecode, map(column.__getitem__, order))
-        for column in (c.ids, c.populations, c.lats, c.lons)
-    )
-    c.names = list(map(c.names.__getitem__, order))
+    c.codes = array("I", map(recoded.__getitem__, codes))
+    c.names = list(gather(c.names))
     return c
 
 
@@ -138,39 +141,27 @@ class GazetteerIndex:
 
     The one constructor takes columns ranked by descending population, then
     ascending id, with unique ids (`ingest` passes `_ranked_columns` of the
-    dump's rows, `load_cache` a cache's checked columns) and checks nothing
-    again. It files each row under its distinct case-folded names in rank
-    order, so every name's candidates come out ranked, and records the dump
-    checksum (`version`) and the feature-class filter the rows passed.
+    dump's rows, `load_cache` a cache's checked columns), checks nothing
+    again and files no name. It records the dump checksum (`version`) and
+    the feature-class filter the rows passed.
 
-    The name map files each name under a row position, or a tuple of them
-    when several rows share the name. Queries build a row's GazetteerEntry
-    the first time they return it and hand out that same object from then on.
+    The first name query (`has_name`, `lookup`, `top`, `by_latitude` or
+    `max_tokens_by_first_token`) files each row, in rank order, under its
+    distinct case-folded names: a row position, or a tuple of them when rows
+    share the name, so every name's candidates come out ranked. Queries build
+    a row's GazetteerEntry when they first return it, then hand out that object.
     """
 
     def __init__(self, columns: _Columns, version: str, summary: IngestSummary,
                  feature_classes: Optional[Iterable[str]]):
-        name_map: dict = {}
-        shared = []  # keys filed under more than one row, kept as lists until the end
-        for pos, row in enumerate(columns.names):
-            for key in row.casefold().split("\t"):
-                found = name_map.setdefault(key, pos)
-                if found is not pos:  # filed under an earlier row (a list may end with this one)
-                    if type(found) is int:
-                        name_map[key] = [found, pos]
-                        shared.append(key)
-                    elif found[-1] != pos:
-                        found.append(pos)
-        for key in shared:
-            name_map[key] = tuple(name_map[key])
         self._columns = columns
-        self._name_map: dict[str, int | tuple[int, ...]] = name_map
         self.version = version
         self.summary = summary
         self.feature_classes = frozenset(feature_classes) if feature_classes is not None else None
-        # Memos filled on first use: row positions by id, entries by
-        # position, lookup results, and the by_latitude and
+        # Memos filled on first use: the name map, row positions by id,
+        # entries by position, lookup results, and the by_latitude and
         # max_tokens_by_first_token tables.
+        self._name_map: Optional[dict[str, int | tuple[int, ...]]] = None
         self._positions: Optional[dict[int, int]] = None
         self._entries: dict[int, GazetteerEntry] = {}
         self._lookups: dict[str, tuple[GazetteerEntry, ...]] = {}
@@ -185,8 +176,26 @@ class GazetteerIndex:
             self._positions = dict(zip(self._columns.ids, range(len(self))))
         return self._positions.get(entry_id)
 
+    def _names(self) -> dict[str, int | tuple[int, ...]]:
+        if self._name_map is None:
+            name_map: dict = {}
+            shared = []  # keys filed under more than one row, kept as lists until the end
+            for pos, row in enumerate(self._columns.names):
+                for key in row.casefold().split("\t"):
+                    found = name_map.setdefault(key, pos)
+                    if found is not pos:  # filed under an earlier row (a list may end with this one)
+                        if type(found) is int:
+                            name_map[key] = [found, pos]
+                            shared.append(key)
+                        elif found[-1] != pos:
+                            found.append(pos)
+            for key in shared:
+                name_map[key] = tuple(name_map[key])
+            self._name_map = name_map
+        return self._name_map
+
     def _rows_of(self, key: str) -> tuple[int, ...]:
-        found = self._name_map.get(key, ())
+        found = self._names().get(key, ())
         return (found,) if type(found) is int else found
 
     def _entry(self, pos: int) -> GazetteerEntry:
@@ -210,7 +219,7 @@ class GazetteerIndex:
 
     def has_name(self, name: str) -> bool:
         """Whether any entry's canonical or alternate name casefolds to `name`."""
-        return name.casefold() in self._name_map
+        return name.casefold() in self._names()
 
     def lookup(self, name: str) -> tuple[GazetteerEntry, ...]:
         """All entries whose canonical or alternate name casefolds to `name`.
@@ -261,7 +270,7 @@ class GazetteerIndex:
         found = self._max_tokens.get(token)
         if found is None:
             found = self._max_tokens[token] = {}
-            for key in self._name_map:
+            for key in self._names():
                 tokens = token.findall(key)
                 if tokens and len(tokens) > found.get(tokens[0], 0):
                     found[tokens[0]] = len(tokens)
@@ -274,10 +283,10 @@ def _parse_row(line: str) -> Optional[tuple]:
     A row has an id and a population >= 0 that fit in 64 bits, and a
     finite latitude and longitude in range.
     """
-    if line.count("\t") < GEONAMES_FIELD_COUNT - 1:
-        return None
-    # Columns past the population (the 15th) are not read: leave them unsplit.
+    # Columns past the population (the 15th) are not read: they stay unsplit, holding 3 tabs.
     fields = line.split("\t", 15)
+    if len(fields) < 16 or fields[15].count("\t") < GEONAMES_FIELD_COUNT - 16:
+        return None
     name = fields[1].strip()
     if not name:
         return None

@@ -518,16 +518,20 @@ def write_report(report: EvalReport, out_path: str, csv_path: Optional[str] = No
 def _csv_lead(path: str) -> str:
     """What to write before the rows appended to the CSV file at `path`.
 
-    The header for a new or empty file, else the line end its last row lacks, if any. A file
-    with another header, or one that cannot be read as UTF-8 CSV, raises ValueError naming it.
+    The header for a new or empty file (one holding only a BOM is empty), else the line end
+    its last row lacks, if any. A file with another header, or one that cannot be read as
+    UTF-8 CSV, raises ValueError naming it.
     """
+    header = ",".join(REPORT_CSV_COLUMNS) + "\n"  # no column name needs quoting
     if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return ",".join(REPORT_CSV_COLUMNS) + "\n"  # no column name needs quoting
+        return header
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # a spreadsheet may lead with a BOM
             found = next(csv.reader(fh), None)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"cannot read CSV file {path}: {exc}") from exc
+    if found is None:  # nothing but a BOM, which is kept: the header goes after it
+        return header
     if found != list(REPORT_CSV_COLUMNS):
         raise ValueError(f"CSV file {path} has another header; append to a new file")
     with open(path, "rb") as fh:

@@ -493,6 +493,19 @@ def test_csv_row_appended_to_a_file_a_spreadsheet_saved_with_a_bom(tmp_path):
     assert appended[3:].decode("utf-8").splitlines() == [header, *rows, *rows]
 
 
+def test_csv_file_holding_only_a_bom_gets_the_header_after_it(tmp_path):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    argv = ["eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path / "r.txt")]
+    empty, bom = tmp_path / "empty.csv", tmp_path / "bom.csv"
+    empty.write_bytes(b"")
+    bom.write_bytes(b"\xef\xbb\xbf")
+    assert main([*argv, "--csv", str(empty)]) == 0
+    assert main([*argv, "--csv", str(bom)]) == 0
+    assert bom.read_bytes() == b"\xef\xbb\xbf" + empty.read_bytes()
+
+
 def test_a_cache_whose_checksum_would_forge_a_report_line_is_refused(tmp_path, capsys):
     gold = build_corpus(tmp_path)
     _, cache = build_cache(tmp_path)

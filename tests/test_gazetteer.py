@@ -8,11 +8,12 @@ import random
 import re
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoeval import cli, gazetteer
@@ -148,6 +149,15 @@ def test_malformed_lines_skipped_and_counted():
     index = ingest(lines)
     assert index.summary.ingested == 2
     assert index.summary.skipped == 3
+
+
+@pytest.mark.parametrize("tabs", [15, 16, 17, 18])
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_a_line_needs_all_18_tabs(tabs, end):
+    line = "\t".join(geonames_line(1, "Goodtown", 1.0, 2.0, population=7).split("\t")[:tabs + 1]) + end
+    assert (gazetteer._parse_row(line) is not None) == (tabs == 18)
+    index = ingest([line])
+    assert (index.summary.ingested, index.summary.skipped) == ((1, 0) if tabs == 18 else (0, 1))
 
 
 def test_duplicate_id_skipped():
@@ -652,6 +662,35 @@ def test_loading_a_cache_adds_few_objects_for_the_collector_to_track(tmp_path):
     assert [e.id for e in loaded.lookup("ville300")] == [300]
 
 
+def _bytes_retained(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source", ["ingest", "load_cache", "miss", "hit"])
+def test_an_index_files_no_name_before_its_first_name_query(tmp_path, source):
+    lines = [geonames_line(i, f"Town{i}", 1.0, 1.0, alternates=f"Burgh{i},Ville{i}") for i in range(1, 301)]
+    dump, cache = tmp_path / "dump.tsv", tmp_path / "dump.cache"
+    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if source in ("load_cache", "hit"):
+        load_or_ingest(str(dump), str(cache))  # writes the cache
+    if source == "ingest":
+        index = ingest(lines)
+    elif source == "load_cache":
+        index = load_cache(str(cache))
+    else:
+        index, hit = load_or_ingest(str(dump), str(cache))
+        assert hit == (source == "hit")
+    assert index.entry(300).canonical_name == "Town300"  # what eval-* asks of a loaded index
+    # Filing keeps a new string for each of the 900 distinct folded names; once filed, a query keeps none.
+    assert _bytes_retained(lambda: index.has_name("ville300")) > 900 * sys.getsizeof("")
+    assert _bytes_retained(lambda: index.has_name("ville299")) < sys.getsizeof("")
+
+
 def test_load_or_ingest_cache_hit(tmp_path):
     dump = tmp_path / "dump.tsv"
     dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
@@ -931,6 +970,98 @@ def test_load_cache_after_save_cache_gives_back_the_ingested_index(lines, classe
     all_names = {n for e in index.entries() for n in (e.canonical_name, *e.alternate_names)}
     for name in all_names | {"atlantis"}:
         assert [e.id for e in loaded.lookup(name)] == [e.id for e in index.lookup(name)]
+
+
+# dump_lines with more casefold traps: alternates that repeat the canonical name
+# after casefolding, "ß" against "SS", and "İ", which casefolds to two code points.
+_CASEFOLD_TRAPS = ["alpha", "ALPHA", "Straße", "STRASSE", "strasse", "İstanbul", "istanbul", "I\u0307stanbul"]
+casefold_dump_lines = st.lists(
+    st.one_of(
+        st.builds(
+            lambda entry_id, name, pop, alternates: geonames_line(
+                entry_id, name, 1.0 + entry_id, -2.0 - entry_id, population=pop,
+                alternates=",".join(alternates),
+            ),
+            st.integers(min_value=1, max_value=12),  # few ids, so duplicates are common
+            st.sampled_from(["Alpha", "Straße", "STRASSE", "İstanbul", "Alpha Beta", "Beta"]),
+            st.integers(min_value=0, max_value=3),  # few populations, so ties are common
+            st.lists(st.sampled_from(_CASEFOLD_TRAPS), max_size=3),
+        ),
+        malformed_lines,
+    ),
+    max_size=30,
+)
+_NAME_QUERIES = ("has_name", "lookup", "top", "by_latitude", "max_tokens", "nearest", "entry")
+_QUERIED_NAMES = sorted({"Alpha", "Straße", "STRASSE", "İstanbul", "Alpha Beta", "Beta", "ss", "i\u0307stanbul",
+                         "atlantis", *_CASEFOLD_TRAPS})
+
+
+def _answer(index, query, coord):
+    """What one kind of query returns for every queried name (or id), as plain values."""
+    if query == "max_tokens":
+        return index.max_tokens_by_first_token(re.compile(r"[^\W_]+"))
+    if query == "entry":
+        return [index.entry(eid) for eid in range(14)]
+    ask = {"has_name": index.has_name, "lookup": index.lookup, "top": index.top,
+           "by_latitude": index.by_latitude, "nearest": lambda name: nearest_entry(index, name, coord)}[query]
+    return [ask(name) for name in _QUERIED_NAMES]
+
+
+@given(
+    lines=casefold_dump_lines,
+    order=st.permutations(_NAME_QUERIES),
+    cached=st.booleans(),
+    lat=st.floats(min_value=-89, max_value=89),
+    lon=st.floats(min_value=-179, max_value=179),
+)
+@settings(max_examples=100, deadline=None)
+def test_every_query_answers_alike_whichever_runs_first(lines, order, cached, lat, lon):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.cache")
+        save_cache(ingest(lines, version="sha256:0123456789abcdef"), path)
+
+        def fresh():
+            return load_cache(path) if cached else ingest(lines)
+
+        coord = Coordinate(lat, lon)
+        walked = fresh()
+        answers = {query: _answer(walked, query, coord) for query in order}
+        for query in _NAME_QUERIES:
+            assert _answer(fresh(), query, coord) == answers[query], query
+
+
+_rank_rows = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)),  # id, repeats allowed
+        st.sampled_from(["Alpha", "Straße", "İstanbul"]),
+        st.lists(st.sampled_from(["a", "B", "ß"]), max_size=2, unique=True).map(tuple),
+        st.floats(-90, 90),
+        st.floats(-180, 180),
+        st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1)),  # population, ties common
+        st.sampled_from("AP"),
+        st.sampled_from(["PPL", "ADM1"]),
+        st.sampled_from(["US", "FR"]),
+    ),
+    max_size=8,
+)
+
+
+@given(rows=_rank_rows)
+@example(rows=[])
+@example(rows=[(7, "Alpha", ("a",), 1.5, -2.5, 3, "P", "PPL", "US")])
+@example(rows=[(7, "Alpha", (), 1.0, 2.0, 3, "P", "PPL", "US"), (2, "Straße", ("B",), 3.0, 4.0, 3, "A", "ADM1", "FR")])
+@settings(max_examples=200)
+def test_ranked_columns_are_the_rows_sorted_by_rank(rows):
+    ranked = sorted(rows, key=lambda r: (-r[5], r[0]))
+    triples = list(dict.fromkeys(r[6:] for r in ranked))  # numbered by first use in rank order
+    c = gazetteer._ranked_columns(rows)
+    assert [column.typecode for column in c.arrays()] == ["q", "q", "d", "d", "I"]
+    assert list(c.ids) == [r[0] for r in ranked]
+    assert list(c.populations) == [r[5] for r in ranked]
+    assert list(c.lats) == [r[3] for r in ranked] and list(c.lons) == [r[4] for r in ranked]
+    assert c.triples == triples
+    assert list(c.codes) == [triples.index(r[6:]) for r in ranked]
+    assert c.names == ["\t".join((r[1], *r[2])) for r in ranked]
 
 
 def test_load_cache_builds_no_entry_and_queries_build_each_once(tmp_path, toy_index, monkeypatch):

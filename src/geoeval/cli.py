@@ -130,7 +130,7 @@ def _thresholds(value: str) -> list[float]:
         km = []
     if not km or not all(0 <= t < math.inf for t in km):
         raise argparse.ArgumentTypeError(f"bad value {value!r}: need finite km thresholds >= 0")
-    return km
+    return [abs(t) for t in km]  # -0 passes the check above: read it as 0
 
 
 def _feature_classes(value: str) -> set[str]:

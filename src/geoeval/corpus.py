@@ -146,7 +146,8 @@ class Document:
 # Span labels are the TaxonomyType and ExpressionKind values.
 _LABELS = {member.value: member for member in (*TaxonomyType, *ExpressionKind)}
 
-_T_LINE = re.compile(r"^(T\d+)\t(\S+) (\d+) (\d+)\t(.*)$")
+# Offsets are ASCII digits: int() would also read other decimal digits, such as "٥".
+_T_LINE = re.compile(r"^(T\d+)\t(\S+) ([0-9]+) ([0-9]+)\t(.*)$")
 _A_LINE = re.compile(r"^A\d+\t(?P<name>\S+) (?P<tid>T\d+)(?: (?P<value>\S+))?\s*$")
 _N_LINE = re.compile(r"^N\d+\tReference (?P<tid>T\d+) (?P<name>[^:\t]+):(?P<value>\S+)(?:\t.*)?$")
 
@@ -350,12 +351,17 @@ def load_document_pair(txt_path: str, ann_path: str) -> Document:
 
 
 def load_directory(path: str) -> list[Document]:
-    """Load every .txt/.ann pair under `path`, sorted by document id; a file without its pair is logged."""
+    """Load every .txt/.ann pair under `path`, sorted by document id; a file without its pair is logged.
+
+    So is one whose extension is .txt or .ann in another case, such as .TXT.
+    """
     docs = []
     for name in sorted(os.listdir(path)):
         stem, ext = os.path.join(path, name[:-4]), name[-4:]
         pair = stem + (".ann" if ext == ".txt" else ".txt")
-        if ext in (".txt", ".ann") and not os.path.exists(pair):
+        if ext.lower() in (".txt", ".ann") and ext not in (".txt", ".ann"):
+            log.warning("%s: only lower-case .txt and .ann files are read; skipping", stem + ext)
+        elif ext in (".txt", ".ann") and not os.path.exists(pair):
             log.warning("no %s file for %s; skipping", pair[-4:], stem + ext)
         elif ext == ".txt":
             docs.append(load_document_pair(stem + ext, pair))
@@ -427,7 +433,7 @@ class PredictionError:
 
 
 PREDICTION_FIELDS = 7
-_INTEGER = re.compile(r"\s*[+-]?\d+\s*")  # what int() reads, less its underscores
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # what int() reads, less "1_0" and digits like "٥"
 
 
 def load_predictions(lines: Iterable[str]) -> tuple[list[PredictionRecord], list[PredictionError]]:
@@ -449,12 +455,14 @@ def load_predictions(lines: Iterable[str]) -> tuple[list[PredictionRecord], list
             )
             continue
         doc_id, start_s, end_s, surface, label, lat_s, lon_s = fields
+        if not (_INTEGER.fullmatch(start_s) and _INTEGER.fullmatch(end_s)):
+            reason = f"non-integer span: {reprlib.repr(start_s)}, {reprlib.repr(end_s)}"
+            errors.append(PredictionError(line_no, reason))
+            continue
         try:
             start, end = int(start_s), int(end_s)
-        except ValueError:  # not integers, or more digits than int() converts
-            too_long = _INTEGER.fullmatch(start_s) and _INTEGER.fullmatch(end_s)
-            reason = f"non-integer span: {reprlib.repr(start_s)}, {reprlib.repr(end_s)}"
-            errors.append(PredictionError(line_no, "an offset has too many digits" if too_long else reason))
+        except ValueError:  # more digits than int() converts
+            errors.append(PredictionError(line_no, "an offset has too many digits"))
             continue
         if (lat_s == "") != (lon_s == ""):
             errors.append(PredictionError(line_no, "lat and lon must both be present or both empty"))

@@ -1,16 +1,18 @@
 """Geonames-style gazetteer ingest and case-folded name lookup.
 
-The index keeps its entries as columns, one row per entry in rank order
-(descending population, then ascending id). Its first name query maps every
-canonical and alternate name (Unicode-casefolded, no diacritic stripping) to
-the rows of its candidates, so a load or an ingest that no name query follows
-files none. It is immutable once built and can be persisted to a cache of
-those columns keyed by the dump checksum, so repeated evaluations skip
-re-parsing the dump. An entry object is built only when a query returns it.
+The index keeps its entries as columns, one row per entry in ascending id
+order, so `entry(id)` is a binary search of the ids column. Its first name
+query maps every canonical and alternate name (Unicode-casefolded, no
+diacritic stripping) to the rows of its candidates, ranked by descending
+population, then ascending id; a load or an ingest that no name query
+follows files and ranks none. It is immutable once built and can be
+persisted to a cache of those columns keyed by the dump checksum, so
+repeated evaluations skip re-parsing the dump. An entry object is built
+only when a query returns it.
 
 Each rule on the data is checked once, where it enters (by `_parse_row` and
 `_dump_rows` for a dump, by `_read_cache` for a cache), and both ways hand
-the index's one constructor ranked columns.
+the index's one constructor columns in id order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import re
 import reprlib
 import sys
 from array import array
-from collections import Counter
 from dataclasses import astuple, dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
@@ -37,10 +38,11 @@ log = logging.getLogger(__name__)
 # Geonames main-table layout ("allCountries" dump): 19 tab-separated columns.
 GEONAMES_FIELD_COUNT = 19
 
-# Format 4 is one JSON header line (see _HEADER_CHECKS), then the raw bytes of
+# Format 5 is one JSON header line (see _HEADER_CHECKS), then the raw bytes of
 # each column in _SECTIONS order, in the writer's byte order, then the names
-# column as UTF-8, each row's line ended by a line feed.
-CACHE_FORMAT_VERSION = 4
+# column as UTF-8, each row's line ended by a line feed. The rows are in
+# ascending id order (format 4 kept them in rank order).
+CACHE_FORMAT_VERSION = 5
 _CHECKSUM = re.compile(r"sha256:[0-9a-f]{16}")  # what dump_checksum writes, and reports print
 _SECTIONS = ("ids", "populations", "latitudes", "longitudes", "codes", "names")
 _INT64 = 2**63
@@ -73,7 +75,7 @@ class IngestSummary:
 
 
 class _Columns:
-    """Entries as parallel columns, one row per entry.
+    """Entries as parallel columns, one row per entry, in ascending id order.
 
     Ids and populations are int64, latitudes and longitudes float64, and
     each row's code indexes `triples`, the distinct (feature class, feature
@@ -96,12 +98,13 @@ class _Columns:
         return self.ids, self.populations, self.lats, self.lons, self.codes
 
 
-def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
-    """Rows as columns in rank order, with the triples coded in order of first use.
+def _columns_by_id(rows: Iterable[tuple]) -> _Columns:
+    """Rows as columns in ascending id order, with the triples coded in order of first use in `rows`.
 
     A row is (id, name, alternates, lat, lon, population, feature class,
     feature code, country code); its names are joined into one line, so a
-    name that holds a tab or a line feed is refused.
+    name that holds a tab or a line feed is refused. Rows that share an id
+    keep their order.
     """
     c = _Columns()
     code_of: dict[tuple[str, str, str], int] = {}
@@ -120,18 +123,13 @@ def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
     if "\n" in text or text.count("\t") != tabs:
         raise GazetteerError("a gazetteer name holds a tab or a line feed")
     del text
-    # Descending population, then ascending id: both sorts are stable.
-    order = sorted(range(len(c.ids)), key=c.ids.__getitem__)
-    order.sort(key=c.populations.__getitem__, reverse=True)
+    order = sorted(range(len(c.ids)), key=c.ids.__getitem__)  # stable
     # One gather per column; itemgetter returns a tuple only for two or more indices.
     gather = itemgetter(*order) if len(order) > 1 else lambda column: [column[i] for i in order]
     c.ids, c.populations = array("q", gather(c.ids)), array("q", gather(c.populations))
     c.lats, c.lons = array("d", gather(c.lats)), array("d", gather(c.lons))
-    codes = gather(c.codes)
-    recoded = {code: new for new, code in enumerate(dict.fromkeys(codes))}  # in order of first use
-    triples = list(code_of)
-    c.triples = [triples[code] for code in recoded]
-    c.codes = array("I", map(recoded.__getitem__, codes))
+    c.codes = array("I", gather(c.codes))
+    c.triples = list(code_of)
     c.names = list(gather(c.names))
     return c
 
@@ -139,17 +137,18 @@ def _ranked_columns(rows: Iterable[tuple]) -> _Columns:
 class GazetteerIndex:
     """Immutable name -> candidates index over gazetteer columns.
 
-    The one constructor takes columns ranked by descending population, then
-    ascending id, with unique ids (`ingest` passes `_ranked_columns` of the
-    dump's rows, `load_cache` a cache's checked columns), checks nothing
-    again and files no name. It records the dump checksum (`version`) and
-    the feature-class filter the rows passed.
+    The one constructor takes columns in strictly increasing id order
+    (`ingest` passes `_columns_by_id` of the dump's rows, `load_cache` a
+    cache's checked columns), checks nothing again and files no name. It
+    records the dump checksum (`version`) and the feature-class filter the
+    rows passed. `entry(id)` finds its row by binary search of the ids.
 
     The first name query (`has_name`, `lookup`, `top`, `by_latitude` or
-    `max_tokens_by_first_token`) files each row, in rank order, under its
-    distinct case-folded names: a row position, or a tuple of them when rows
-    share the name, so every name's candidates come out ranked. Queries build
-    a row's GazetteerEntry when they first return it, then hand out that object.
+    `max_tokens_by_first_token`) files each row under its distinct
+    case-folded names: a row position, or, when rows share the name, a
+    tuple of them ranked by descending population, then ascending id.
+    Queries build a row's GazetteerEntry when they first return it, then
+    hand out that object.
     """
 
     def __init__(self, columns: _Columns, version: str, summary: IngestSummary,
@@ -158,11 +157,9 @@ class GazetteerIndex:
         self.version = version
         self.summary = summary
         self.feature_classes = frozenset(feature_classes) if feature_classes is not None else None
-        # Memos filled on first use: the name map, row positions by id,
-        # entries by position, lookup results, and the by_latitude and
-        # max_tokens_by_first_token tables.
+        # Memos filled on first use: the name map, entries by position, lookup
+        # results, and the by_latitude and max_tokens_by_first_token tables.
         self._name_map: Optional[dict[str, int | tuple[int, ...]]] = None
-        self._positions: Optional[dict[int, int]] = None
         self._entries: dict[int, GazetteerEntry] = {}
         self._lookups: dict[str, tuple[GazetteerEntry, ...]] = {}
         self._by_latitude: dict[str, tuple[tuple[int, ...], array, array]] = {}
@@ -170,11 +167,6 @@ class GazetteerIndex:
 
     def __len__(self) -> int:
         return len(self._columns.ids)
-
-    def _position(self, entry_id: int) -> Optional[int]:
-        if self._positions is None:
-            self._positions = dict(zip(self._columns.ids, range(len(self))))
-        return self._positions.get(entry_id)
 
     def _names(self) -> dict[str, int | tuple[int, ...]]:
         if self._name_map is None:
@@ -189,8 +181,10 @@ class GazetteerIndex:
                             shared.append(key)
                         elif found[-1] != pos:
                             found.append(pos)
+            # Rank each shared name's rows, filed in id order; the stable sort keeps ties so.
+            rank = self._columns.populations.__getitem__
             for key in shared:
-                name_map[key] = tuple(name_map[key])
+                name_map[key] = tuple(sorted(name_map[key], key=rank, reverse=True))
             self._name_map = name_map
         return self._name_map
 
@@ -210,11 +204,13 @@ class GazetteerIndex:
         return entry
 
     def entry(self, entry_id: int) -> Optional[GazetteerEntry]:
-        pos = self._position(entry_id)
-        return None if pos is None else self._entry(pos)
+        """The entry with id `entry_id`, found by binary search of the ids, or None."""
+        ids = self._columns.ids
+        pos = bisect.bisect_left(ids, entry_id)
+        return self._entry(pos) if pos < len(ids) and ids[pos] == entry_id else None
 
     def entries(self) -> list[GazetteerEntry]:
-        """Every entry, in rank order (building each one not yet built)."""
+        """Every entry, in ascending id order (building each one not yet built)."""
         return [self._entry(pos) for pos in range(len(self))]
 
     def has_name(self, name: str) -> bool:
@@ -224,7 +220,7 @@ class GazetteerIndex:
     def lookup(self, name: str) -> tuple[GazetteerEntry, ...]:
         """All entries whose canonical or alternate name casefolds to `name`.
 
-        The stored ranking, in descending-population order (ties by
+        The name map's ranking, in descending-population order (ties by
         ascending id), memoised per case-folded name; empty when the name
         is unknown.
         """
@@ -362,7 +358,7 @@ def ingest(
     records whose single-letter feature class is in the set.
     """
     summary = IngestSummary()
-    index = GazetteerIndex(_ranked_columns(_dump_rows(lines, feature_classes, summary)),
+    index = GazetteerIndex(_columns_by_id(_dump_rows(lines, feature_classes, summary)),
                            version, summary, feature_classes)
     summary.ingested = len(index)
     return index
@@ -388,7 +384,7 @@ def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> Gazett
 
 
 def save_cache(index: GazetteerIndex, path: str) -> None:
-    """Write the index's columns as they are, in rank order, so one dump gives one file."""
+    """Write the index's columns as they are, in id order, so one dump gives one file."""
     if not _CHECKSUM.fullmatch(index.version):
         raise GazetteerError(f"cannot cache index version {index.version!r}: not a dump checksum")
     c = index._columns
@@ -429,14 +425,8 @@ _HEADER_CHECKS = {
 }
 
 
-def _ranked(ids: array, populations: array) -> bool:
-    """Whether the rows are in rank order: descending population, then ascending id."""
-    return all(p > q or (p == q and a < b)
-               for p, q, a, b in zip(populations, populations[1:], ids, ids[1:]))
-
-
 def _read_cache(fh, file_size: int) -> GazetteerIndex:
-    """The index in an open format-4 cache, each column checked whole; ValueError when it is unusable."""
+    """The index in an open format-5 cache, each column checked whole; ValueError when it is unusable."""
     first = fh.readline()
     if first.startswith(b"\x80"):
         raise ValueError("a pickled cache, as formats 1 to 3 were, is not allowed")
@@ -472,10 +462,9 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
         raise ValueError("a population is negative")
     if max(c.codes, default=-1) >= len(c.triples):
         raise ValueError("a code is outside the code table")
-    if len(set(c.ids)) != n:
-        raise ValueError(f"duplicate gazetteer id {min(i for i, k in Counter(c.ids).items() if k > 1)}")
-    if not _ranked(c.ids, c.populations):
-        raise ValueError("the rows are out of rank order")
+    for a, b in zip(c.ids, c.ids[1:]):  # strictly increasing
+        if a >= b:
+            raise ValueError(f"duplicate gazetteer id {a}" if a == b else "the ids are out of order")
 
     c.names = fh.read(sizes[5]).decode("utf-8").split("\n")
     if len(c.names) != n + 1 or c.names.pop():

@@ -459,6 +459,23 @@ def test_csv_row_appended(tmp_path):
     assert [c["dataset_id"] for c in cells] == ["gold", "gold"] + ["gold, run 2"] * 3
 
 
+def test_a_threshold_of_minus_zero_reads_as_zero(tmp_path):
+    # -0 passes ">= 0", but must not print as "-0" in the report or the CSV.
+    gold = build_corpus(tmp_path)
+    _, cache = build_cache(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.856600\t2.352200\n", encoding="utf-8")
+    report, csv_path = tmp_path / "r.txt", tmp_path / "rows.csv"
+    assert main([
+        "eval-geocoding", "--gold", str(gold), "--pred", str(pred), "--cache", str(cache),
+        "--out", str(report), "--csv", str(csv_path), "--thresholds=-0",
+    ]) == 0
+    lines = report.read_text(encoding="utf-8").splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("accuracy_at_")] == ["accuracy_at_0km"]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert [row["threshold_km"] for row in csv.DictReader(fh)] == ["0"]
+
+
 @pytest.mark.parametrize("ending", ["", "\r"], ids=["no-line-end", "cr-line-end"])
 def test_csv_row_appended_after_a_last_row_with_no_line_feed(tmp_path, ending):
     gold = build_corpus(tmp_path)

@@ -171,6 +171,8 @@ PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
     "ann_text,outcome",
     [
         ("T1\tLiteral 15\tParis\n", (1, "unparseable T-line: 'T1\\tLiteral 15\\tParis'")),
+        # int() reads Arabic-Indic digits, so these offsets would load as (15, 20).
+        ("T1\tLiteral ١٥ ٢٠\tParis\n", (1, "unparseable T-line: 'T1\\tLiteral ١٥ ٢٠\\tParis'")),
         (PARIS_T_LINE * 2, (2, "duplicate annotation id T1")),
         ("T1\tLiteral 15 99\tParis\n", (1, "T1: span (15, 99) outside text of length 21")),
         ("T1\tLiteral 15 20\tParix\n",
@@ -216,8 +218,8 @@ PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
          PARIS),
     ],
     ids=[
-        "unparseable-T", "duplicate-T", "span-outside-text", "surface-mismatch", "unknown-type",
-        "unparseable-A", "unparseable-N", "unrecognised-line", "A-missing-span",
+        "unparseable-T", "non-ASCII-digit-offsets", "duplicate-T", "span-outside-text", "surface-mismatch",
+        "unknown-type", "unparseable-A", "unparseable-N", "unrecognised-line", "A-missing-span",
         "unmodelled-A-missing-span", "N-missing-span", "unmodelled-N-missing-span",
         "bad-modifier_type", "modifier_type-without-value", "bad-non_locational",
         "non-integer-Geonames", "Coordinates-one-number", "Coordinates-not-a-number",
@@ -433,10 +435,15 @@ def test_load_predictions_mixed_errors():
 @pytest.mark.parametrize(
     "start, end, message",
     [("0", "9" * 5_000, "an offset has too many digits"),
-     (" +0 ", "٣" * 5_000, "an offset has too many digits"),  # int() reads Arabic-Indic digits too
+     (" +0 ", "9" * 5_000, "an offset has too many digits"),
+     # int() reads Arabic-Indic digits and underscores too, so these would load as offsets.
+     (" +0 ", "٣" * 5_000, "non-integer span: ' +0 ', '٣٣٣٣٣٣٣٣٣٣٣٣...٣٣٣٣٣٣٣٣٣٣٣٣٣'"),
+     ("٠", "٥", "non-integer span: '٠', '٥'"),
+     ("1_0", "1_5", "non-integer span: '1_0', '1_5'"),
      ("0", "x" * 5_000, "non-integer span: '0', 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
      ("1.5", "9" * 5_000, "non-integer span: '1.5', '999999999999...9999999999999'")],
-    ids=["digits", "signed-other-digits", "letters", "one-not-an-integer"],
+    ids=["digits", "signed-digits", "signed-other-digits", "other-digits", "underscores", "letters",
+         "one-not-an-integer"],
 )
 def test_load_predictions_reports_a_long_offset_field_in_a_short_message(start, end, message):
     records, errors = load_predictions(["doc1\t0\t5\tParis\t\t\t\n", f"doc1\t{start}\t{end}\tParis\t\t\t\n"])
@@ -485,7 +492,25 @@ def test_load_directory_skips_an_ann_without_a_txt_with_a_warning(tmp_path, capl
         docs = load_directory(str(tmp_path))
     assert [d.doc_id for d in docs] == ["a_doc"]
     orphan = tmp_path / "b_doc.ann"
-    assert [r.getMessage() for r in caplog.records] == [f"no .txt file for {orphan}; skipping"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{tmp_path / 'b_doc.TXT'}: only lower-case .txt and .ann files are read; skipping",
+        f"no .txt file for {orphan}; skipping",
+    ]
+
+
+def test_load_directory_names_each_file_of_an_upper_case_pair_it_skips(tmp_path, caplog):
+    write_brat_doc(tmp_path, "a_doc", "Paris sleeps.", "T1\tLiteral 0 5\tParis\n")
+    write_brat_doc(tmp_path, "b_doc", "London calling.", "T1\tLiteral 0 6\tLondon\n")
+    for ext in ("txt", "ann"):
+        (tmp_path / f"b_doc.{ext}").rename(tmp_path / f"b_doc.{ext.upper()}")
+    with caplog.at_level(logging.WARNING, logger="geoeval.corpus"):
+        docs = load_directory(str(tmp_path))
+    assert [d.doc_id for d in docs] == ["a_doc"]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("geoeval.corpus", logging.WARNING,
+         f"{tmp_path / name}: only lower-case .txt and .ann files are read; skipping")
+        for name in ("b_doc.ANN", "b_doc.TXT")
+    ]
 
 
 def test_load_directory_crlf_text(tmp_path):

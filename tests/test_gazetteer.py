@@ -269,7 +269,7 @@ def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version)
 def test_save_cache_refuses_a_name_its_names_section_could_not_split(name, alternates):
     # Refused where the row's names are joined into its line, so no index, and no cache, holds it.
     with pytest.raises(GazetteerError, match="tab or a line feed"):
-        gazetteer._ranked_columns([(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")])
+        gazetteer._columns_by_id([(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")])
 
 
 def test_cache_rejects_bad_format(tmp_path):
@@ -394,6 +394,7 @@ def _with_header(header, parts, **changes):
     "make",
     [
         lambda header, parts: _with_header(header, parts, format=3),
+        lambda header, parts: _with_header(header, parts, format=4),  # rows in rank order
         lambda header, parts: _with_header(header, parts, format=gazetteer.CACHE_FORMAT_VERSION + 1),
         lambda header, parts: _cache_bytes({k: v for k, v in header.items() if k != "format"}, parts),
         # The format-1 layout: the index inside an object that repeats its checksum.
@@ -409,7 +410,7 @@ def _with_header(header, parts, **changes):
         lambda header, parts: _with_header(header, parts, checksum=header["checksum"][:-1]),
         lambda header, parts: _with_header(header, parts, checksum=header["checksum"].upper()),
     ],
-    ids=["older", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map",
+    ids=["older", "format-4", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map",
          "checksum-forging-a-line", "checksum-and-a-newline", "short-checksum", "upper-case-checksum"],
 )
 def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, make):
@@ -488,7 +489,7 @@ def _swap_first_two_rows(parts):
          "bytes, the file"),
         (lambda header, parts: _cache_bytes(header, _set(parts, "latitudes", float("nan"))), "latitude"),
         (lambda header, parts: _cache_bytes(header, _set(parts, "populations", -1, at=-1)), "negative"),
-        (lambda header, parts: _cache_bytes(header, _swap_first_two_rows(parts)), "rank order"),
+        (lambda header, parts: _cache_bytes(header, _swap_first_two_rows(parts)), "out of order"),
         (lambda header, parts: _cache_bytes(header, _set(parts, "ids", parts["ids"][0], at=1)), "duplicate"),
         (lambda header, parts: _cache_bytes(header, _set(parts, "codes", len(header["codes"]), at=-1)),
          "code table"),
@@ -503,10 +504,10 @@ def _swap_first_two_rows(parts):
         (lambda header, parts: _cache_bytes({**header, "counts": [999, 0, 0]}, parts), "the 999 ingested rows"),
     ],
     ids=["other-byte-order", "truncated-section", "over-long-section", "nan-latitude", "negative-population",
-         "out-of-rank-order", "duplicate-id", "code-outside-the-table", "names-not-utf-8", "format-3-pickle",
+         "out-of-id-order", "duplicate-id", "code-outside-the-table", "names-not-utf-8", "format-3-pickle",
          "no-feature-classes", "first-foreign-key-named", "ingested-count-not-the-row-count"],
 )
-def test_a_damaged_format_4_cache_is_refused_for_its_reason_and_rebuilt(tmp_path, capsys, make, reason):
+def test_a_damaged_cache_is_refused_for_its_reason_and_rebuilt(tmp_path, capsys, make, reason):
     dump, (header, parts) = _toy_payload(tmp_path)
     cache = tmp_path / "damaged.cache"
     cache.write_bytes(make(header, parts))
@@ -855,7 +856,7 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
         (eid, "Alpha", (), coord.lat, coord.lon, data.draw(st.integers(0, 2)), "P", "PPL", "US")
         for eid, coord in zip(ids, coords)
     ]
-    index = gazetteer.GazetteerIndex(gazetteer._ranked_columns(rows), "v", gazetteer.IngestSummary(), None)
+    index = gazetteer.GazetteerIndex(gazetteer._columns_by_id(rows), "v", gazetteer.IngestSummary(), None)
     for _ in range(3):  # the first query fills the unit-vector memo, later ones read it
         query = point()
         assert nearest_entry(index, "ALPHA", query).id == _nearest_oracle(index.lookup("alpha"), query).id
@@ -864,7 +865,7 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
 def _alpha_index(coords):
     rows = [(eid, "Alpha", (), lat, lon, 0, "P", "PPL", "US")
             for eid, (lat, lon) in enumerate(coords, start=1)]
-    return gazetteer.GazetteerIndex(gazetteer._ranked_columns(rows), "v", gazetteer.IngestSummary(), None)
+    return gazetteer.GazetteerIndex(gazetteer._columns_by_id(rows), "v", gazetteer.IngestSummary(), None)
 
 
 @pytest.mark.parametrize(
@@ -1030,7 +1031,7 @@ def test_every_query_answers_alike_whichever_runs_first(lines, order, cached, la
             assert _answer(fresh(), query, coord) == answers[query], query
 
 
-_rank_rows = st.lists(
+_id_rows = st.lists(
     st.tuples(
         st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)),  # id, repeats allowed
         st.sampled_from(["Alpha", "Straße", "İstanbul"]),
@@ -1046,22 +1047,55 @@ _rank_rows = st.lists(
 )
 
 
-@given(rows=_rank_rows)
+@given(rows=_id_rows)
 @example(rows=[])
 @example(rows=[(7, "Alpha", ("a",), 1.5, -2.5, 3, "P", "PPL", "US")])
 @example(rows=[(7, "Alpha", (), 1.0, 2.0, 3, "P", "PPL", "US"), (2, "Straße", ("B",), 3.0, 4.0, 3, "A", "ADM1", "FR")])
 @settings(max_examples=200)
-def test_ranked_columns_are_the_rows_sorted_by_rank(rows):
-    ranked = sorted(rows, key=lambda r: (-r[5], r[0]))
-    triples = list(dict.fromkeys(r[6:] for r in ranked))  # numbered by first use in rank order
-    c = gazetteer._ranked_columns(rows)
+def test_columns_by_id_are_the_rows_sorted_by_id(rows):
+    by_id = sorted(rows, key=lambda r: r[0])  # stable, so rows that share an id keep their order
+    triples = list(dict.fromkeys(r[6:] for r in rows))  # numbered by first use in dump order
+    c = gazetteer._columns_by_id(rows)
     assert [column.typecode for column in c.arrays()] == ["q", "q", "d", "d", "I"]
-    assert list(c.ids) == [r[0] for r in ranked]
-    assert list(c.populations) == [r[5] for r in ranked]
-    assert list(c.lats) == [r[3] for r in ranked] and list(c.lons) == [r[4] for r in ranked]
+    assert list(c.ids) == [r[0] for r in by_id]
+    assert list(c.populations) == [r[5] for r in by_id]
+    assert list(c.lats) == [r[3] for r in by_id] and list(c.lons) == [r[4] for r in by_id]
     assert c.triples == triples
-    assert list(c.codes) == [triples.index(r[6:]) for r in ranked]
-    assert c.names == ["\t".join((r[1], *r[2])) for r in ranked]
+    assert list(c.codes) == [triples.index(r[6:]) for r in by_id]
+    assert c.names == ["\t".join((r[1], *r[2])) for r in by_id]
+
+
+_id_lines = st.lists(
+    st.builds(
+        lambda eid, pop: geonames_line(eid, f"Town{eid}", 1.0, 2.0, population=pop),
+        st.one_of(st.integers(0, 30), st.integers(0, 2**63 - 1)),  # few small ids, so duplicates and gaps
+        st.integers(0, 2),
+    ),
+    max_size=12,
+)
+
+
+@given(lines=_id_lines, probes=st.lists(st.integers(-2**70, 2**70), max_size=5))
+@example(lines=[], probes=[0])
+@settings(max_examples=150, deadline=None)
+def test_entry_agrees_with_a_scan_of_the_rows(lines, probes):
+    index = ingest(lines, version="sha256:0123456789abcdef")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.cache")
+        save_cache(index, path)
+        loaded = load_cache(path)
+    ids = sorted(e.id for e in index.entries())
+    # Absent ids: negative, beyond int64, and (given rows) below the smallest,
+    # above the largest and between two.
+    absent = [-1, -2**63 - 1, 2**63, 2**64]
+    if ids:
+        absent += [ids[0] - 1, ids[-1] + 1, *(a + 1 for a, b in zip(ids, ids[1:]) if b - a > 1)]
+    absent = [eid for eid in absent if eid not in ids]
+    for built in (index, loaded):
+        rows = built.entries()
+        for eid in [*ids, *absent, *probes]:
+            assert built.entry(eid) is next((e for e in rows if e.id == eid), None)
+        assert [built.entry(eid) for eid in absent] == [None] * len(absent)
 
 
 def test_load_cache_builds_no_entry_and_queries_build_each_once(tmp_path, toy_index, monkeypatch):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoeval.corpus import Document, PredictionRecord, ToponymAnnotation, apply_exclusion_policy, gold_spans
-from geoeval.gazetteer import GazetteerIndex, IngestSummary, _ranked_columns
+from geoeval.gazetteer import GazetteerIndex, IngestSummary, _columns_by_id
 from geoeval.metrics import MatchMode, f_score, match_spans
 from geoeval.tagger import (
     DEFAULT_BLOCKLIST,
@@ -103,7 +103,7 @@ def _tag_every_position(doc, index, blocklist=DEFAULT_BLOCKLIST, max_ngram=4):
 
 def _index_of(names):
     rows = [(eid, name, (), 0.0, 0.0, 0, "P", "PPL", "US") for eid, name in enumerate(names, start=1)]
-    return GazetteerIndex(_ranked_columns(rows), "v", IngestSummary(), None)
+    return GazetteerIndex(_columns_by_id(rows), "v", IngestSummary(), None)
 
 
 # Characters whose case folding is not one token: İ folds to i plus a

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from . import augment as augment_mod
 from . import corpus, gazetteer, metrics, resolver, stats, tagger
+from .geodesy import ascii_number
 
 PROG = "geoeval"
 
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _thresholds(value: str) -> list[float]:
     """A comma-separated list of finite km thresholds >= 0."""
     try:
-        km = [float(t) for t in value.split(",") if t.strip()]
+        km = [float(ascii_number(t)) for t in value.split(",") if t.strip()]
     except ValueError:
         km = []
     if not km or not all(0 <= t < math.inf for t in km):

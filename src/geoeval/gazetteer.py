@@ -1,14 +1,17 @@
 """Geonames-style gazetteer ingest and case-folded name lookup.
 
-The index keeps its entries as columns, one row per entry in ascending id
-order, so `entry(id)` is a binary search of the ids column. Its first name
-query maps every canonical and alternate name (Unicode-casefolded, no
-diacritic stripping) to the rows of its candidates, ranked by descending
-population, then ascending id; a load or an ingest that no name query
-follows files and ranks none. It is immutable once built and can be
-persisted to a cache of those columns keyed by the dump checksum, so
-repeated evaluations skip re-parsing the dump. An entry object is built
-only when a query returns it.
+The index keeps each record's id, coordinate, population and names as
+columns, one row per entry in ascending id order, so `entry(id)` is a
+binary search of the ids column. Its first name query maps every canonical
+and alternate name (Unicode-casefolded, no diacritic stripping) to the
+rows of its candidates, ranked by descending population, then ascending
+id; a load or an ingest that no name query follows files and ranks none.
+It is immutable once built and can be persisted to a cache of those
+columns keyed by the dump checksum, so repeated evaluations skip
+re-parsing the dump. An entry object, the id, coordinate and population
+that evaluation reads, is built only when a query returns it; a record's
+feature class is read only by the ingest filter, and its other codes not
+at all.
 
 Each rule on the data is checked once, where it enters (by `_parse_row` and
 `_dump_rows` for a dump, by `_read_cache` for a cache), and both ways hand
@@ -31,20 +34,20 @@ from dataclasses import astuple, dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .geodesy import Coordinate, great_circle_distance
+from .geodesy import Coordinate, ascii_number, great_circle_distance
 
 log = logging.getLogger(__name__)
 
 # Geonames main-table layout ("allCountries" dump): 19 tab-separated columns.
 GEONAMES_FIELD_COUNT = 19
 
-# Format 5 is one JSON header line (see _HEADER_CHECKS), then the raw bytes of
+# Format 6 is one JSON header line (see _HEADER_CHECKS), then the raw bytes of
 # each column in _SECTIONS order, in the writer's byte order, then the names
 # column as UTF-8, each row's line ended by a line feed. The rows are in
 # ascending id order (format 4 kept them in rank order).
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 _CHECKSUM = re.compile(r"sha256:[0-9a-f]{16}")  # what dump_checksum writes, and reports print
-_SECTIONS = ("ids", "populations", "latitudes", "longitudes", "codes", "names")
+_SECTIONS = ("ids", "populations", "latitudes", "longitudes", "names")
 _INT64 = 2**63
 
 # Malformed lines and duplicate ids of each kind logged at WARNING; the rest go to DEBUG.
@@ -57,14 +60,11 @@ class GazetteerError(Exception):
 
 @dataclass(frozen=True)
 class GazetteerEntry:
+    """A record as evaluation reads it: the id that gold links to, its point, and its population."""
+
     id: int
-    canonical_name: str
-    alternate_names: frozenset[str]
     coord: Coordinate
     population: int
-    feature_class: str
-    feature_code: str
-    country_code: str
 
 
 @dataclass
@@ -77,44 +77,39 @@ class IngestSummary:
 class _Columns:
     """Entries as parallel columns, one row per entry, in ascending id order.
 
-    Ids and populations are int64, latitudes and longitudes float64, and
-    each row's code indexes `triples`, the distinct (feature class, feature
-    code, country code) triples. `names` holds each row's names as its line
-    in the cache: the canonical name, then the sorted alternate names, joined
-    by tabs.
+    Ids and populations are int64, latitudes and longitudes float64.
+    `names` holds each row's names as its line in the cache: the canonical
+    name, then the sorted alternate names, joined by tabs; they are read
+    only to file the name map.
     """
 
-    __slots__ = ("ids", "populations", "lats", "lons", "codes", "triples", "names")
+    __slots__ = ("ids", "populations", "lats", "lons", "names")
 
     def __init__(self):
         self.ids, self.populations = array("q"), array("q")
         self.lats, self.lons = array("d"), array("d")
-        self.codes = array("I")
-        self.triples: list[tuple[str, str, str]] = []
         self.names: list[str] = []
 
     def arrays(self) -> tuple[array, ...]:
         """The fixed-width columns, in _SECTIONS order."""
-        return self.ids, self.populations, self.lats, self.lons, self.codes
+        return self.ids, self.populations, self.lats, self.lons
 
 
 def _columns_by_id(rows: Iterable[tuple]) -> _Columns:
-    """Rows as columns in ascending id order, with the triples coded in order of first use in `rows`.
+    """Rows as columns in ascending id order.
 
-    A row is (id, name, alternates, lat, lon, population, feature class,
-    feature code, country code); its names are joined into one line, so a
-    name that holds a tab or a line feed is refused. Rows that share an id
-    keep their order.
+    A row begins (id, name, alternates, lat, lon, population), and a dump's
+    row goes on to its feature class, which is not kept. A row's names are
+    joined into one line, so a name that holds a tab or a line feed is
+    refused. Rows that share an id keep their order.
     """
     c = _Columns()
-    code_of: dict[tuple[str, str, str], int] = {}
     tabs = 0  # the separators joined in
-    for eid, name, alternates, lat, lon, population, fclass, fcode, country in rows:
+    for eid, name, alternates, lat, lon, population, *_ in rows:
         c.ids.append(eid)
         c.populations.append(population)
         c.lats.append(lat)
         c.lons.append(lon)
-        c.codes.append(code_of.setdefault((fclass, fcode, country), len(code_of)))
         if alternates:
             name = "\t".join((name, *alternates))
             tabs += len(alternates)
@@ -128,8 +123,6 @@ def _columns_by_id(rows: Iterable[tuple]) -> _Columns:
     gather = itemgetter(*order) if len(order) > 1 else lambda column: [column[i] for i in order]
     c.ids, c.populations = array("q", gather(c.ids)), array("q", gather(c.populations))
     c.lats, c.lons = array("d", gather(c.lats)), array("d", gather(c.lons))
-    c.codes = array("I", gather(c.codes))
-    c.triples = list(code_of)
     c.names = list(gather(c.names))
     return c
 
@@ -196,11 +189,8 @@ class GazetteerIndex:
         entry = self._entries.get(pos)
         if entry is None:
             c = self._columns
-            name, *alternates = c.names[pos].split("\t")
             entry = self._entries[pos] = GazetteerEntry(
-                c.ids[pos], name, frozenset(alternates), Coordinate(c.lats[pos], c.lons[pos]),
-                c.populations[pos], *c.triples[c.codes[pos]],
-            )
+                c.ids[pos], Coordinate(c.lats[pos], c.lons[pos]), c.populations[pos])
         return entry
 
     def entry(self, entry_id: int) -> Optional[GazetteerEntry]:
@@ -214,11 +204,11 @@ class GazetteerIndex:
         return [self._entry(pos) for pos in range(len(self))]
 
     def has_name(self, name: str) -> bool:
-        """Whether any entry's canonical or alternate name casefolds to `name`."""
+        """Whether any row's canonical or alternate name casefolds to `name`."""
         return name.casefold() in self._names()
 
     def lookup(self, name: str) -> tuple[GazetteerEntry, ...]:
-        """All entries whose canonical or alternate name casefolds to `name`.
+        """The entries of the rows whose canonical or alternate name casefolds to `name`.
 
         The name map's ranking, in descending-population order (ties by
         ascending id), memoised per case-folded name; empty when the name
@@ -276,8 +266,9 @@ class GazetteerIndex:
 def _parse_row(line: str) -> Optional[tuple]:
     """One Geonames main-table record as a row; None when malformed.
 
-    A row has an id and a population >= 0 that fit in 64 bits, and a
-    finite latitude and longitude in range.
+    A row is (id, name, alternates, lat, lon, population, feature class).
+    It has an id and a population >= 0 that fit in 64 bits, and a finite
+    latitude and longitude in range, each written as an ascii_number.
     """
     # Columns past the population (the 15th) are not read: they stay unsplit, holding 3 tabs.
     fields = line.split("\t", 15)
@@ -287,6 +278,7 @@ def _parse_row(line: str) -> Optional[tuple]:
     if not name:
         return None
     try:
+        ascii_number(fields[0] + fields[4] + fields[5] + fields[14])
         eid = int(fields[0])
         lat, lon = float(fields[4]), float(fields[5])
         population = int(fields[14]) if fields[14].strip() else 0
@@ -296,18 +288,8 @@ def _parse_row(line: str) -> Optional[tuple]:
     if not (-_INT64 <= eid < _INT64 and 0 <= population < _INT64
             and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         return None
-    alternates = fields[3]
-    return (
-        eid,
-        name,
-        tuple(sorted({a.strip() for a in alternates.split(",") if a.strip()})) if alternates else (),
-        lat,
-        lon,
-        population,
-        fields[6],
-        fields[7],
-        fields[8],
-    )
+    alternates = tuple(sorted({a.strip() for a in fields[3].split(",") if a.strip()})) if fields[3] else ()
+    return eid, name, alternates, lat, lon, population, fields[6]
 
 
 def _dump_rows(
@@ -395,7 +377,6 @@ def save_cache(index: GazetteerIndex, path: str) -> None:
         "checksum": index.version,
         "feature_classes": sorted(index.feature_classes) if index.feature_classes is not None else None,
         "counts": list(astuple(index.summary)),
-        "codes": c.triples,
         "sections": dict(zip(_SECTIONS, [len(a) * a.itemsize for a in c.arrays()] + [len(names)])),
     }
     with open(path, "wb") as fh:
@@ -405,8 +386,8 @@ def save_cache(index: GazetteerIndex, path: str) -> None:
         fh.write(names)
 
 
-def _strs(value, length: Optional[int] = None) -> bool:
-    return type(value) is list and all(type(s) is str for s in value) and length in (None, len(value))
+def _strs(value) -> bool:
+    return type(value) is list and all(type(s) is str for s in value)
 
 
 def _sizes(value, length: int) -> bool:
@@ -420,13 +401,12 @@ _HEADER_CHECKS = {
     "checksum": lambda v: type(v) is str and _CHECKSUM.fullmatch(v),
     "feature_classes": lambda v: v is None or _strs(v),
     "counts": lambda v: _sizes(v, 3),  # ingested, skipped, filtered
-    "codes": lambda v: type(v) is list and all(_strs(triple, 3) for triple in v),
-    "sections": lambda v: type(v) is dict and list(v) == list(_SECTIONS) and _sizes(list(v.values()), 6),
+    "sections": lambda v: type(v) is dict and list(v) == list(_SECTIONS) and _sizes(list(v.values()), 5),
 }
 
 
 def _read_cache(fh, file_size: int) -> GazetteerIndex:
-    """The index in an open format-5 cache, each column checked whole; ValueError when it is unusable."""
+    """The index in an open format-6 cache, each column checked whole; ValueError when it is unusable."""
     first = fh.readline()
     if first.startswith(b"\x80"):
         raise ValueError("a pickled cache, as formats 1 to 3 were, is not allowed")
@@ -448,11 +428,10 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
 
     c = _Columns()
     n = header["counts"][0]  # the ingested rows
-    if sizes[:5] != [n * column.itemsize for column in c.arrays()]:
-        raise ValueError(f"the column sizes {sizes[:5]} do not hold the {n} ingested rows")
+    if sizes[:-1] != [n * column.itemsize for column in c.arrays()]:
+        raise ValueError(f"the column sizes {sizes[:-1]} do not hold the {n} ingested rows")
     for column, size in zip(c.arrays(), sizes):
         column.frombytes(fh.read(size))
-    c.triples = [tuple(triple) for triple in header["codes"]]
     for what, column, bound in (("latitude", c.lats, 90.0), ("longitude", c.lons, 180.0)):
         # fsum is NaN or infinite, or raises ValueError, when a value is.
         if (not math.isfinite(math.fsum(column))
@@ -460,13 +439,11 @@ def _read_cache(fh, file_size: int) -> GazetteerIndex:
             raise ValueError(f"a {what} is not finite or out of range")
     if min(c.populations, default=0) < 0:
         raise ValueError("a population is negative")
-    if max(c.codes, default=-1) >= len(c.triples):
-        raise ValueError("a code is outside the code table")
     for a, b in zip(c.ids, c.ids[1:]):  # strictly increasing
         if a >= b:
             raise ValueError(f"duplicate gazetteer id {a}" if a == b else "the ids are out of order")
 
-    c.names = fh.read(sizes[5]).decode("utf-8").split("\n")
+    c.names = fh.read(sizes[-1]).decode("utf-8").split("\n")
     if len(c.names) != n + 1 or c.names.pop():
         raise ValueError(f"the names section does not hold {n} lines")
     return GazetteerIndex(c, header["checksum"], IngestSummary(*header["counts"]), header["feature_classes"])

@@ -39,6 +39,18 @@ class Coordinate:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
 
 
+def ascii_number(text: str) -> str:
+    """`text`, when it holds no "_" and no character outside ASCII; ValueError otherwise.
+
+    int() and float() also read "_" between digits and any Unicode decimal
+    digit, such as "٥": a number in geoeval's inputs is written in ASCII
+    digits alone, so each is checked here before it is converted.
+    """
+    if text.isascii() and "_" not in text:
+        return text
+    raise ValueError(f"not a number in ASCII digits: {text!r}")
+
+
 def great_circle_distance(a: Coordinate, b: Coordinate) -> float:
     """Haversine distance between two coordinates, in km.
 

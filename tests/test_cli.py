@@ -750,10 +750,14 @@ def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_pat
         # Values that parse but would change a score or a filter silently.
         ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "nan"],
         ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "5,-1"],
+        # float() would read these as 161.0 and 5.0.
+        ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "1_6_1,٥"],
+        ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "161,٥"],
         ["ingest", "--dump", "d", "--cache", "c", "--feature-classes", ","],
     ],
     ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-required",
-         "nan-threshold", "negative-threshold", "no-feature-class"],
+         "nan-threshold", "negative-threshold", "underscored-threshold", "non-ASCII-digit-threshold",
+         "no-feature-class"],
 )
 def test_usage_error_exits_1(capsys, argv):
     assert main(argv) == 1

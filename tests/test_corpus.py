@@ -202,6 +202,15 @@ PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
          (2, "bad coordinate value '48.85,east': could not convert string to float: 'east'")),
         (PARIS_T_LINE + "N1\tReference T1 Coordinates:95,2.35\tParis\n",
          (2, "bad coordinate value '95,2.35': latitude 95.0 outside [-90, 90]")),
+        # int() and float() would read these as 2988507 and (48.5, 2.0).
+        (PARIS_T_LINE + "N1\tReference T1 Geonames:2_988_507\tParis\n",
+         (2, "bad gazetteer id '2_988_507'")),
+        (PARIS_T_LINE + "N1\tReference T1 Geonames:٥\tParis\n",
+         (2, "bad gazetteer id '٥'")),
+        (PARIS_T_LINE + "N1\tReference T1 Coordinates:4_8.5,٢\tParis\n",
+         (2, "bad coordinate value '4_8.5,٢': not a number in ASCII digits: '4_8.5'")),
+        (PARIS_T_LINE + "N1\tReference T1 Coordinates:48.5,٢\tParis\n",
+         (2, "bad coordinate value '48.5,٢': not a number in ASCII digits: '٢'")),
         (PARIS_T_LINE + "A1\tnon_locational T1\nA2\tnon_locational T1 False\n",
          (3, "T1: non_locational False conflicts with True from line 2")),
         (PARIS_T_LINE + "A1\tmodifier_type T1 Verb\nN1\tReference T1\n",
@@ -223,7 +232,8 @@ PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
         "unmodelled-A-missing-span", "N-missing-span", "unmodelled-N-missing-span",
         "bad-modifier_type", "modifier_type-without-value", "bad-non_locational",
         "non-integer-Geonames", "Coordinates-one-number", "Coordinates-not-a-number",
-        "Coordinates-out-of-range", "non_locational-conflict", "later-syntax-beats-earlier-value",
+        "Coordinates-out-of-range", "underscored-Geonames", "non-ASCII-digit-Geonames", "underscored-Coordinates",
+        "non-ASCII-digit-Coordinates", "non_locational-conflict", "later-syntax-beats-earlier-value",
         "A-line-beats-earlier-N-line", "first-A-error-beats-N-conflict", "A-and-N-before-T-load",
         "unmodelled-attribute-and-resource-ignored",
     ],
@@ -426,10 +436,15 @@ def test_load_predictions_mixed_errors():
         "too\tfew\tfields\n",
         "doc1\t0\t5\tParis\t\t48.8566\t\n",  # lat without lon
         "doc1\t6\t12\tLondon\tLocation\t\t\n",
+        # float() would read these as (48.5, 2.0).
+        "d\t0\t5\tParis\tLocation\t4_8.5\t٢\n",
+        "d\t0\t5\tParis\tLocation\t48.5\t٢\n",
     ]
     records, errors = load_predictions(lines)
     assert len(records) == 2
-    assert [e.line_no for e in errors] == [2, 3, 4]
+    assert [e.line_no for e in errors] == [2, 3, 4, 6, 7]
+    assert [e.message for e in errors[3:]] == ["not a number in ASCII digits: '4_8.5'",
+                                               "not a number in ASCII digits: '٢'"]
 
 
 @pytest.mark.parametrize(

@@ -138,17 +138,27 @@ def test_has_name_and_top(toy_index):
     assert tied.top("twinsburg").id == 3
 
 
-def test_malformed_lines_skipped_and_counted():
+def test_malformed_lines_skipped_and_counted(caplog):
     lines = [
         geonames_line(1, "Goodtown", 1.0, 2.0),
         "not\ta\tvalid\tline",
         geonames_line(2, "Badcoord", 95.0, 2.0),  # latitude out of range
         "\t".join(["x"] * 19),  # non-integer id
         geonames_line(3, "Othertown", 3.0, 4.0),
+        # int() and float() read "_" between digits and other decimal digits: (42, 10.5, 5.0, 1000).
+        geonames_line("4_2", "Looseville", "1_0.5", "٥", population="1_000"),
+        geonames_line("4_2", "Looseville", 10.5, 5.0, population=1000),
+        geonames_line(42, "Looseville", "1_0.5", 5.0, population=1000),
+        geonames_line(42, "Looseville", 10.5, "٥", population=1000),
+        geonames_line(42, "Looseville", 10.5, 5.0, population="1_000"),
     ]
-    index = ingest(lines)
+    with caplog.at_level(logging.DEBUG, logger="geoeval.gazetteer"):
+        index = ingest(lines)
     assert index.summary.ingested == 2
-    assert index.summary.skipped == 3
+    assert index.summary.skipped == 8
+    assert index.entry(42) is None and not index.has_name("looseville")
+    assert [r.getMessage() for r in caplog.records][:-1] == [
+        f"gazetteer: skipping malformed line {n}" for n in (2, 3, 4, *range(6, 11))]
 
 
 @pytest.mark.parametrize("tabs", [15, 16, 17, 18])
@@ -209,8 +219,11 @@ def test_feature_class_filter():
 
 
 def test_every_entry_reachable_under_canonical_name(toy_index):
-    for entry in toy_index.entries():
-        assert entry.id in {e.id for e in toy_index.lookup(entry.canonical_name)}
+    assert len(toy_index.entries()) == len(TOY_DUMP_LINES)
+    for line in TOY_DUMP_LINES:
+        entry_id, name = line.split("\t")[:2]
+        assert toy_index.has_name(name)
+        assert int(entry_id) in {e.id for e in toy_index.lookup(name)}
 
 
 def test_ingest_idempotent():
@@ -222,14 +235,14 @@ def test_ingest_idempotent():
 
 
 def test_parse_geonames_line_roundtrip():
-    entry = ingest(
+    index = ingest(
         [geonames_line(11, "Testville", 10.5, -20.25, "P", "PPL", "GB", 1234, alternates="Tville,试镇")]
-    ).entry(11)
-    assert entry is not None
-    assert entry.canonical_name == "Testville"
-    assert entry.alternate_names == frozenset({"Tville", "试镇"})
-    assert entry.coord == Coordinate(10.5, -20.25)
-    assert entry.country_code == "GB"
+    )
+    entry = index.entry(11)
+    assert entry == gazetteer.GazetteerEntry(11, Coordinate(10.5, -20.25), 1234)
+    for name in ("Testville", "Tville", "试镇"):
+        assert index.has_name(name) and index.lookup(name) == (entry,)
+    assert not index.has_name("Tville,试镇") and not index.has_name("GB")
 
 
 def test_nearest_entry_picks_closest(toy_index):
@@ -269,7 +282,7 @@ def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version)
 def test_save_cache_refuses_a_name_its_names_section_could_not_split(name, alternates):
     # Refused where the row's names are joined into its line, so no index, and no cache, holds it.
     with pytest.raises(GazetteerError, match="tab or a line feed"):
-        gazetteer._columns_by_id([(1, name, alternates, 0.0, 0.0, 0, "P", "PPL", "US")])
+        gazetteer._columns_by_id([(1, name, alternates, 0.0, 0.0, 0)])
 
 
 def test_cache_rejects_bad_format(tmp_path):
@@ -279,7 +292,7 @@ def test_cache_rejects_bad_format(tmp_path):
         load_cache(str(cache))
 
 
-_TYPECODES = {"ids": "q", "populations": "q", "latitudes": "d", "longitudes": "d", "codes": "I"}
+_TYPECODES = {"ids": "q", "populations": "q", "latitudes": "d", "longitudes": "d"}
 _DROP = object()
 
 
@@ -317,7 +330,7 @@ def _cache_bytes(header, parts, resize=True):
 
 _EMPTY_HEADER = {
     "format": gazetteer.CACHE_FORMAT_VERSION, "byteorder": sys.byteorder, "checksum": "sha256:0123456789abcdef",
-    "feature_classes": None, "counts": [0, 0, 0], "codes": [], "sections": dict.fromkeys(gazetteer._SECTIONS, 0),
+    "feature_classes": None, "counts": [0, 0, 0], "sections": dict.fromkeys(gazetteer._SECTIONS, 0),
 }
 
 
@@ -372,7 +385,7 @@ def _assert_refused_and_rebuilt(tmp_path, capsys, cache, dump=None):
         _empty_cache(sections={"melbourne": [1001]}),
         _empty_cache(counts=["lots", [], None]),
         _empty_cache(counts=[0, 0]),
-        # Code tables that the entries could not be built from.
+        # Format 5's code tables, one that its entries could not be built from.
         _empty_cache(codes=[[1, "PPL", "US"]]),
         _empty_cache(codes=[["P", "PPL"]]),
         _empty_cache(feature_classes={"P": 1}),
@@ -395,6 +408,7 @@ def _with_header(header, parts, **changes):
     [
         lambda header, parts: _with_header(header, parts, format=3),
         lambda header, parts: _with_header(header, parts, format=4),  # rows in rank order
+        lambda header, parts: _with_header(header, parts, format=5),  # with a codes column
         lambda header, parts: _with_header(header, parts, format=gazetteer.CACHE_FORMAT_VERSION + 1),
         lambda header, parts: _cache_bytes({k: v for k, v in header.items() if k != "format"}, parts),
         # The format-1 layout: the index inside an object that repeats its checksum.
@@ -410,7 +424,7 @@ def _with_header(header, parts, **changes):
         lambda header, parts: _with_header(header, parts, checksum=header["checksum"][:-1]),
         lambda header, parts: _with_header(header, parts, checksum=header["checksum"].upper()),
     ],
-    ids=["older", "format-4", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map",
+    ids=["older", "format-4", "format-5", "newer", "no-version", "format-1-payload", "no-checksum", "no-name-map",
          "checksum-forging-a-line", "checksum-and-a-newline", "short-checksum", "upper-case-checksum"],
 )
 def test_cache_of_another_format_version_is_refused_and_rebuilt(tmp_path, capsys, make):
@@ -433,7 +447,7 @@ def _in_every_section(parts, edit):
 
 
 def _short_first_code(header, parts):
-    header["codes"][0] = header["codes"][0][:2]
+    header["codes"] = [["P", "PPL"]]  # format 5's code table, its one triple a field short
     return parts
 
 
@@ -491,8 +505,6 @@ def _swap_first_two_rows(parts):
         (lambda header, parts: _cache_bytes(header, _set(parts, "populations", -1, at=-1)), "negative"),
         (lambda header, parts: _cache_bytes(header, _swap_first_two_rows(parts)), "out of order"),
         (lambda header, parts: _cache_bytes(header, _set(parts, "ids", parts["ids"][0], at=1)), "duplicate"),
-        (lambda header, parts: _cache_bytes(header, _set(parts, "codes", len(header["codes"]), at=-1)),
-         "code table"),
         (lambda header, parts: _cache_bytes(header, {**parts, "names": "".join(
             n + "\n" for n in parts["names"]).encode("utf-8").replace(b"M", b"\xc3(")}), "utf-8"),
         (lambda header, parts: pickle.dumps((3, header["checksum"], None, (14, 0, 0), [])), "pickle"),
@@ -504,7 +516,7 @@ def _swap_first_two_rows(parts):
         (lambda header, parts: _cache_bytes({**header, "counts": [999, 0, 0]}, parts), "the 999 ingested rows"),
     ],
     ids=["other-byte-order", "truncated-section", "over-long-section", "nan-latitude", "negative-population",
-         "out-of-id-order", "duplicate-id", "code-outside-the-table", "names-not-utf-8", "format-3-pickle",
+         "out-of-id-order", "duplicate-id", "names-not-utf-8", "format-3-pickle",
          "no-feature-classes", "first-foreign-key-named", "ingested-count-not-the-row-count"],
 )
 def test_a_damaged_cache_is_refused_for_its_reason_and_rebuilt(tmp_path, capsys, make, reason):
@@ -686,7 +698,7 @@ def test_an_index_files_no_name_before_its_first_name_query(tmp_path, source):
     else:
         index, hit = load_or_ingest(str(dump), str(cache))
         assert hit == (source == "hit")
-    assert index.entry(300).canonical_name == "Town300"  # what eval-* asks of a loaded index
+    assert index.entry(300) == gazetteer.GazetteerEntry(300, Coordinate(1.0, 1.0), 0)  # what eval-* asks
     # Filing keeps a new string for each of the 900 distinct folded names; once filed, a query keeps none.
     assert _bytes_retained(lambda: index.has_name("ville300")) > 900 * sys.getsizeof("")
     assert _bytes_retained(lambda: index.has_name("ville299")) < sys.getsizeof("")
@@ -853,7 +865,7 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
     # Ids are shuffled against coordinates, so the lower id is not also the first drawn.
     ids = data.draw(st.permutations(range(1, len(coords) + 1)))
     rows = [
-        (eid, "Alpha", (), coord.lat, coord.lon, data.draw(st.integers(0, 2)), "P", "PPL", "US")
+        (eid, "Alpha", (), coord.lat, coord.lon, data.draw(st.integers(0, 2)))
         for eid, coord in zip(ids, coords)
     ]
     index = gazetteer.GazetteerIndex(gazetteer._columns_by_id(rows), "v", gazetteer.IngestSummary(), None)
@@ -863,7 +875,7 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
 
 
 def _alpha_index(coords):
-    rows = [(eid, "Alpha", (), lat, lon, 0, "P", "PPL", "US")
+    rows = [(eid, "Alpha", (), lat, lon, 0)
             for eid, (lat, lon) in enumerate(coords, start=1)]
     return gazetteer.GazetteerIndex(gazetteer._columns_by_id(rows), "v", gazetteer.IngestSummary(), None)
 
@@ -968,7 +980,9 @@ def test_load_cache_after_save_cache_gives_back_the_ingested_index(lines, classe
     assert (loaded.version, loaded.feature_classes) == (index.version, index.feature_classes)
     assert vars(loaded.summary) == vars(index.summary)
     assert list(loaded.entries()) == list(index.entries())
-    all_names = {n for e in index.entries() for n in (e.canonical_name, *e.alternate_names)}
+    # The names the dump lines give, those of skipped and filtered lines too, which no index holds.
+    fields = [line.split("\t") for line in lines]
+    all_names = {name for f in fields for name in (f[1], *f[3].split(","))}
     for name in all_names | {"atlantis"}:
         assert [e.id for e in loaded.lookup(name)] == [e.id for e in index.lookup(name)]
 
@@ -1039,9 +1053,6 @@ _id_rows = st.lists(
         st.floats(-90, 90),
         st.floats(-180, 180),
         st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1)),  # population, ties common
-        st.sampled_from("AP"),
-        st.sampled_from(["PPL", "ADM1"]),
-        st.sampled_from(["US", "FR"]),
     ),
     max_size=8,
 )
@@ -1049,19 +1060,16 @@ _id_rows = st.lists(
 
 @given(rows=_id_rows)
 @example(rows=[])
-@example(rows=[(7, "Alpha", ("a",), 1.5, -2.5, 3, "P", "PPL", "US")])
-@example(rows=[(7, "Alpha", (), 1.0, 2.0, 3, "P", "PPL", "US"), (2, "Straße", ("B",), 3.0, 4.0, 3, "A", "ADM1", "FR")])
+@example(rows=[(7, "Alpha", ("a",), 1.5, -2.5, 3)])
+@example(rows=[(7, "Alpha", (), 1.0, 2.0, 3), (2, "Straße", ("B",), 3.0, 4.0, 3)])
 @settings(max_examples=200)
 def test_columns_by_id_are_the_rows_sorted_by_id(rows):
     by_id = sorted(rows, key=lambda r: r[0])  # stable, so rows that share an id keep their order
-    triples = list(dict.fromkeys(r[6:] for r in rows))  # numbered by first use in dump order
     c = gazetteer._columns_by_id(rows)
-    assert [column.typecode for column in c.arrays()] == ["q", "q", "d", "d", "I"]
+    assert [column.typecode for column in c.arrays()] == ["q", "q", "d", "d"]
     assert list(c.ids) == [r[0] for r in by_id]
     assert list(c.populations) == [r[5] for r in by_id]
     assert list(c.lats) == [r[3] for r in by_id] and list(c.lons) == [r[4] for r in by_id]
-    assert c.triples == triples
-    assert list(c.codes) == [triples.index(r[6:]) for r in by_id]
     assert c.names == ["\t".join((r[1], *r[2])) for r in by_id]
 
 

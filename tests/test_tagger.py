@@ -102,7 +102,7 @@ def _tag_every_position(doc, index, blocklist=DEFAULT_BLOCKLIST, max_ngram=4):
 
 
 def _index_of(names):
-    rows = [(eid, name, (), 0.0, 0.0, 0, "P", "PPL", "US") for eid, name in enumerate(names, start=1)]
+    rows = [(eid, name, (), 0.0, 0.0, 0) for eid, name in enumerate(names, start=1)]
     return GazetteerIndex(_columns_by_id(rows), "v", IngestSummary(), None)
 
 

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="gazetteer n-gram tagger")
     p.add_argument("--lexicon", type=_Input, help="normalization lexicon (surface<TAB>canonical)")
     p.add_argument("--blocklist", type=_Input, help="file of surfaces to suppress, one per line")
-    p.add_argument("--max-ngram", type=int, default=tagger.DEFAULT_MAX_NGRAM)
+    p.add_argument("--max-ngram", type=_integer, default=tagger.DEFAULT_MAX_NGRAM)
     p.add_argument("--populated-only", action="store_true")
     p.add_argument("--out", required=True, type=_Output, help="prediction file to write")
     p.set_defaults(func=cmd_baseline)
@@ -108,15 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("folds", help="deal documents into cross-validation folds")
     p.add_argument("--gold", required=True, type=_InputDir)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--k", type=_integer, default=5)
+    p.add_argument("--seed", type=_integer, default=13)
     p.add_argument("--out", required=True, type=_Output, help="JSON fold plan to write")
     p.set_defaults(func=cmd_folds)
 
     p = sub.add_parser("augment", help="generate augmented training sentences")
     p.add_argument("--gold", required=True, type=_InputDir)
-    p.add_argument("--max-per-source", type=int, default=3)
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--max-per-source", type=_integer, default=3)
+    p.add_argument("--seed", type=_integer, default=13)
     p.add_argument("--out", required=True, type=_Output, help="token/tag column file to write")
     p.set_defaults(func=cmd_augment)
 
@@ -134,10 +134,22 @@ def _thresholds(value: str) -> list[float]:
     return [abs(t) for t in km]  # -0 passes the check above: read it as 0
 
 
+def _integer(value: str) -> int:
+    """An integer written in ASCII digits; int() alone also reads "1_3" and "٣"."""
+    try:
+        return int(ascii_number(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value {value!r}: need an integer in ASCII digits") from None
+
+
 def _feature_classes(value: str) -> set[str]:
+    """A comma-separated set of Geonames feature classes, each one of its nine capital letters."""
     classes = {c.strip() for c in value.split(",") if c.strip()}
     if not classes:
         raise argparse.ArgumentTypeError(f"{value!r} names no feature class")
+    unknown = ", ".join(map(repr, sorted(classes.difference("AHLPRSTUV"))))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"{unknown}: Geonames has only the feature classes AHLPRSTUV")
     return classes
 
 

@@ -14,7 +14,7 @@ feature class is read only by the ingest filter, and its other codes not
 at all.
 
 Each rule on the data is checked once, where it enters (by `_parse_row` and
-`_dump_rows` for a dump, by `_read_cache` for a cache), and both ways hand
+`_dump_columns` for a dump, by `_read_cache` for a cache), and both ways hand
 the index's one constructor columns in id order.
 """
 
@@ -32,7 +32,7 @@ import sys
 from array import array
 from dataclasses import astuple, dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .geodesy import Coordinate, ascii_number, great_circle_distance
 
@@ -95,43 +95,11 @@ class _Columns:
         return self.ids, self.populations, self.lats, self.lons
 
 
-def _columns_by_id(rows: Iterable[tuple]) -> _Columns:
-    """Rows as columns in ascending id order.
-
-    A row begins (id, name, alternates, lat, lon, population), and a dump's
-    row goes on to its feature class, which is not kept. A row's names are
-    joined into one line, so a name that holds a tab or a line feed is
-    refused. Rows that share an id keep their order.
-    """
-    c = _Columns()
-    tabs = 0  # the separators joined in
-    for eid, name, alternates, lat, lon, population, *_ in rows:
-        c.ids.append(eid)
-        c.populations.append(population)
-        c.lats.append(lat)
-        c.lons.append(lon)
-        if alternates:
-            name = "\t".join((name, *alternates))
-            tabs += len(alternates)
-        c.names.append(name)
-    text = "".join(c.names)
-    if "\n" in text or text.count("\t") != tabs:
-        raise GazetteerError("a gazetteer name holds a tab or a line feed")
-    del text
-    order = sorted(range(len(c.ids)), key=c.ids.__getitem__)  # stable
-    # One gather per column; itemgetter returns a tuple only for two or more indices.
-    gather = itemgetter(*order) if len(order) > 1 else lambda column: [column[i] for i in order]
-    c.ids, c.populations = array("q", gather(c.ids)), array("q", gather(c.populations))
-    c.lats, c.lons = array("d", gather(c.lats)), array("d", gather(c.lons))
-    c.names = list(gather(c.names))
-    return c
-
-
 class GazetteerIndex:
     """Immutable name -> candidates index over gazetteer columns.
 
     The one constructor takes columns in strictly increasing id order
-    (`ingest` passes `_columns_by_id` of the dump's rows, `load_cache` a
+    (`ingest` passes `_dump_columns` of the dump's lines, `load_cache` a
     cache's checked columns), checks nothing again and files no name. It
     records the dump checksum (`version`) and the feature-class filter the
     rows passed. `entry(id)` finds its row by binary search of the ids.
@@ -266,16 +234,19 @@ class GazetteerIndex:
 def _parse_row(line: str) -> Optional[tuple]:
     """One Geonames main-table record as a row; None when malformed.
 
-    A row is (id, name, alternates, lat, lon, population, feature class).
-    It has an id and a population >= 0 that fit in 64 bits, and a finite
-    latitude and longitude in range, each written as an ascii_number.
+    A row is (id, names, lat, lon, population, feature class), where
+    `names` is the row's line in the cache: the stripped canonical name,
+    then the sorted, distinct, stripped alternate names, joined by tabs.
+    It has an id and a population >= 0 that fit in 64 bits, a finite
+    latitude and longitude in range, each written as an ascii_number, and
+    names that hold no line feed (a field split on tabs holds no tab).
     """
     # Columns past the population (the 15th) are not read: they stay unsplit, holding 3 tabs.
     fields = line.split("\t", 15)
     if len(fields) < 16 or fields[15].count("\t") < GEONAMES_FIELD_COUNT - 16:
         return None
-    name = fields[1].strip()
-    if not name:
+    names = fields[1].strip()  # the canonical name; the alternates are joined on last
+    if not names:
         return None
     try:
         ascii_number(fields[0] + fields[4] + fields[5] + fields[14])
@@ -288,19 +259,21 @@ def _parse_row(line: str) -> Optional[tuple]:
     if not (-_INT64 <= eid < _INT64 and 0 <= population < _INT64
             and -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         return None
-    alternates = tuple(sorted({a.strip() for a in fields[3].split(",") if a.strip()})) if fields[3] else ()
-    return eid, name, alternates, lat, lon, population, fields[6]
+    if fields[3]:
+        names = "\t".join([names, *sorted({a.strip() for a in fields[3].split(",")} - {""})])
+    return None if "\n" in names else (eid, names, lat, lon, population, fields[6])
 
 
-def _dump_rows(
+def _dump_columns(
     lines: Iterable[str], feature_classes: Optional[set[str]], summary: IngestSummary
-) -> Iterator[tuple]:
-    """The rows of the well-formed, kept records, first of each id, in dump order.
+) -> _Columns:
+    """The well-formed, kept records, first of each id, as columns in id order.
 
     Counts skipped and filtered lines in `summary` as it goes. The first
     _LOGGED_SKIPS malformed lines and duplicate ids are logged at WARNING
     with their line numbers, the rest at DEBUG, then both totals at WARNING.
     """
+    c = _Columns()
     seen: set[int] = set()
     malformed = duplicates = 0
     for line_no, line in enumerate(lines, start=1):
@@ -312,20 +285,33 @@ def _dump_rows(
             log.log(logging.WARNING if malformed <= _LOGGED_SKIPS else logging.DEBUG,
                     "gazetteer: skipping malformed line %d", line_no)
             continue
-        if feature_classes is not None and row[6] not in feature_classes:
+        eid, names, lat, lon, population, feature_class = row
+        if feature_classes is not None and feature_class not in feature_classes:
             summary.filtered += 1
             continue
-        if row[0] in seen:
+        if eid in seen:
             duplicates += 1
             log.log(logging.WARNING if duplicates <= _LOGGED_SKIPS else logging.DEBUG,
-                    "gazetteer: skipping duplicate id %d (line %d)", row[0], line_no)
+                    "gazetteer: skipping duplicate id %d (line %d)", eid, line_no)
             continue
-        seen.add(row[0])
-        yield row
+        seen.add(eid)
+        c.ids.append(eid)
+        c.populations.append(population)
+        c.lats.append(lat)
+        c.lons.append(lon)
+        c.names.append(names)
+    del seen  # freed before the columns are gathered in id order, so it does not add to their peak
     summary.skipped = malformed + duplicates
     if summary.skipped:
         log.warning("gazetteer: skipped %d malformed lines and %d duplicate ids in all",
                     malformed, duplicates)
+    order = sorted(range(len(c.ids)), key=c.ids.__getitem__)
+    # One gather per column; itemgetter returns a tuple only for two or more indices.
+    gather = itemgetter(*order) if len(order) > 1 else lambda column: [column[i] for i in order]
+    c.ids, c.populations = array("q", gather(c.ids)), array("q", gather(c.populations))
+    c.lats, c.lons = array("d", gather(c.lats)), array("d", gather(c.lons))
+    c.names = list(gather(c.names))
+    return c
 
 
 def ingest(
@@ -335,13 +321,13 @@ def ingest(
 ) -> GazetteerIndex:
     """Build an index from Geonames-format lines.
 
-    Malformed lines (and duplicate ids) are logged and counted in the
-    summary, never fatal. `feature_classes`, when given, keeps only
-    records whose single-letter feature class is in the set.
+    Malformed lines (a name holding a line feed among them) and duplicate
+    ids are logged and counted in the summary, never fatal.
+    `feature_classes`, when given, keeps only records whose single-letter
+    feature class is in the set.
     """
     summary = IngestSummary()
-    index = GazetteerIndex(_columns_by_id(_dump_rows(lines, feature_classes, summary)),
-                           version, summary, feature_classes)
+    index = GazetteerIndex(_dump_columns(lines, feature_classes, summary), version, summary, feature_classes)
     summary.ingested = len(index)
     return index
 

@@ -86,6 +86,20 @@ def test_ingest_feature_class_filter(tmp_path, capsys):
     assert "filtered" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, config, named", [
+    (["--feature-classes", "P,XX"], None, "'XX'"),
+    ([], {"feature-classes": "p"}, "'p'"),
+], ids=["command-line", "config"])
+def test_a_feature_class_geonames_lacks_is_named_and_no_cache_written(tmp_path, capsys, flags, config, named):
+    dump = tmp_path / "dump.tsv"
+    dump.write_text("\n".join(TOY_DUMP_LINES) + "\n", encoding="utf-8")
+    cache = tmp_path / "gaz.cache"
+    config_flags = ["--config", _config(tmp_path, config)] if config else []
+    assert main([*config_flags, "ingest", "--dump", str(dump), "--cache", str(cache), *flags]) == 1
+    assert named in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_baseline_oracle_population_then_eval(tmp_path, capsys):
     gold = build_corpus(tmp_path)
     _, cache = build_cache(tmp_path)
@@ -647,7 +661,7 @@ def test_config_value_coerced_through_flag_type(tmp_path, value):
     assert json.loads(plan_path.read_text(encoding="utf-8"))["k"] == 3
 
 
-@pytest.mark.parametrize("value", ["x", 2.5, [2], True])
+@pytest.mark.parametrize("value", ["x", 2.5, [2], True, "٣", "1_3"])
 def test_config_value_of_wrong_type_is_input_error(tmp_path, capsys, value):
     gold = build_corpus(tmp_path)
     config = tmp_path / "config.json"
@@ -754,10 +768,19 @@ def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_pat
         ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "1_6_1,٥"],
         ["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o", "--thresholds", "161,٥"],
         ["ingest", "--dump", "d", "--cache", "c", "--feature-classes", ","],
+        # Feature classes Geonames does not have, which would filter every record out.
+        ["ingest", "--dump", "d", "--cache", "c", "--feature-classes", "p"],
+        ["ingest", "--dump", "d", "--cache", "c", "--feature-classes", "P,XX"],
+        # int() would read these as 3, 13, 4 and 10.
+        ["folds", "--gold", "g", "--k", "٣", "--out", "o"],
+        ["folds", "--gold", "g", "--seed", "1_3", "--out", "o"],
+        ["baseline", "--gold", "g", "--cache", "c", "--dictionary-ner", "--max-ngram", "٤", "--out", "o"],
+        ["augment", "--gold", "g", "--max-per-source", "1_0", "--out", "o"],
     ],
     ids=["bad-int", "unknown-subcommand", "no-subcommand", "missing-required",
          "nan-threshold", "negative-threshold", "underscored-threshold", "non-ASCII-digit-threshold",
-         "no-feature-class"],
+         "no-feature-class", "lower-case-feature-class", "unknown-feature-class",
+         "non-ASCII-digit-k", "underscored-seed", "non-ASCII-digit-max-ngram", "underscored-max-per-source"],
 )
 def test_usage_error_exits_1(capsys, argv):
     assert main(argv) == 1

@@ -277,12 +277,21 @@ def test_save_cache_refuses_a_version_load_cache_would_refuse(tmp_path, version)
     assert not cache.exists()
 
 
-@pytest.mark.parametrize("name, alternates", [("New\nYork", ()), ("York", ("New\tYork",))],
-                         ids=["line-feed-in-a-name", "tab-in-an-alternate"])
-def test_save_cache_refuses_a_name_its_names_section_could_not_split(name, alternates):
-    # Refused where the row's names are joined into its line, so no index, and no cache, holds it.
-    with pytest.raises(GazetteerError, match="tab or a line feed"):
-        gazetteer._columns_by_id([(1, name, alternates, 0.0, 0.0, 0)])
+@pytest.mark.parametrize("name, alternates", [("New\nYork", ""), ("York", "Big Apple,New\nYork")],
+                         ids=["line-feed-in-a-name", "line-feed-in-an-alternate"])
+def test_save_cache_refuses_a_name_its_names_section_could_not_split(tmp_path, caplog, name, alternates):
+    # A dump read from a file cannot hold one; a line handed to ingest can, and is malformed,
+    # so no index, and no cache, holds it.
+    lines = [geonames_line(1, "Goodtown", 1.0, 2.0), geonames_line(2, name, 3.0, 4.0, alternates=alternates)]
+    with caplog.at_level(logging.DEBUG, logger="geoeval.gazetteer"):
+        index = ingest(lines, version="sha256:0123456789abcdef")
+    assert (index.summary.ingested, index.summary.skipped) == (1, 1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "gazetteer: skipping malformed line 2", "gazetteer: skipped 1 malformed lines and 0 duplicate ids in all"]
+    cache = tmp_path / "g.cache"
+    save_cache(index, str(cache))
+    assert [e.id for e in load_cache(str(cache)).entries()] == [1]
+    assert not index.has_name("york") and not index.has_name("big apple")
 
 
 def test_cache_rejects_bad_format(tmp_path):
@@ -297,7 +306,7 @@ _DROP = object()
 
 
 def _cache_parts(data):
-    """A format-4 cache read apart: its header, and each section as an array or a list of name lines."""
+    """A format-6 cache read apart: its header, and each section as an array or a list of name lines."""
     first, rest = data.split(b"\n", 1)
     header = json.loads(first)
     parts, at = {}, 0
@@ -864,20 +873,17 @@ def test_nearest_entry_agrees_with_the_haversine_minimum(point, data):
     coords = [point() for _ in range(data.draw(st.integers(1, 12)))]
     # Ids are shuffled against coordinates, so the lower id is not also the first drawn.
     ids = data.draw(st.permutations(range(1, len(coords) + 1)))
-    rows = [
-        (eid, "Alpha", (), coord.lat, coord.lon, data.draw(st.integers(0, 2)))
+    index = ingest([
+        geonames_line(eid, "Alpha", coord.lat, coord.lon, population=data.draw(st.integers(0, 2)))
         for eid, coord in zip(ids, coords)
-    ]
-    index = gazetteer.GazetteerIndex(gazetteer._columns_by_id(rows), "v", gazetteer.IngestSummary(), None)
+    ])
     for _ in range(3):  # the first query fills the unit-vector memo, later ones read it
         query = point()
         assert nearest_entry(index, "ALPHA", query).id == _nearest_oracle(index.lookup("alpha"), query).id
 
 
 def _alpha_index(coords):
-    rows = [(eid, "Alpha", (), lat, lon, 0)
-            for eid, (lat, lon) in enumerate(coords, start=1)]
-    return gazetteer.GazetteerIndex(gazetteer._columns_by_id(rows), "v", gazetteer.IngestSummary(), None)
+    return ingest([geonames_line(eid, "Alpha", lat, lon) for eid, (lat, lon) in enumerate(coords, start=1)])
 
 
 @pytest.mark.parametrize(
@@ -1045,32 +1051,82 @@ def test_every_query_answers_alike_whichever_runs_first(lines, order, cached, la
             assert _answer(fresh(), query, coord) == answers[query], query
 
 
-_id_rows = st.lists(
+# One defect each, as geonames_line arguments; "too few columns" drops the last one.
+_DEFECTS = {
+    "id beyond int64": {"entry_id": 2**63},
+    "id below int64": {"entry_id": -2**63 - 1},
+    "id with an underscore": {"entry_id": "1_0"},
+    "blank name": {"name": " "},
+    "line feed in the name": {"name": "New\nYork"},
+    "line feed in an alternate": {"alternates": "a,New\nYork"},
+    "latitude out of range": {"lat": 90.5},
+    "longitude not a number": {"lon": "nan"},
+    "negative population": {"population": -1},
+    "too few columns": {},
+}
+
+_ALPHA = {"entry_id": 1, "name": "Alpha", "lat": 1.0, "lon": 2.0, "feature_class": "P", "population": 0,
+          "alternates": []}
+
+_dump_records = st.lists(
     st.tuples(
-        st.one_of(st.integers(-3, 3), st.integers(-2**63, 2**63 - 1)),  # id, repeats allowed
-        st.sampled_from(["Alpha", "Straße", "İstanbul"]),
-        st.lists(st.sampled_from(["a", "B", "ß"]), max_size=2, unique=True).map(tuple),
-        st.floats(-90, 90),
-        st.floats(-180, 180),
-        st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1)),  # population, ties common
+        st.fixed_dictionaries({
+            # Repeats common, and both ends of int64.
+            "entry_id": st.one_of(st.integers(-3, 3), st.sampled_from([-2**63, 2**63 - 1]),
+                                  st.integers(-2**63, 2**63 - 1)),
+            "name": st.sampled_from(["Alpha", " Straße ", "İstanbul"]),
+            "lat": st.floats(-90, 90),
+            "lon": st.floats(-180, 180),
+            "feature_class": st.sampled_from("PAS"),
+            "population": st.one_of(st.integers(0, 2), st.integers(0, 2**63 - 1)),
+            # Blanks, repeats and case variants.
+            "alternates": st.lists(st.sampled_from(["a", " a", "A", "", "  ", "ß", "SS", "b "]), max_size=4),
+        }),
+        st.sampled_from([None, None, None, *_DEFECTS]),  # the line's defect, if any
     ),
-    max_size=8,
+    max_size=10,
 )
 
 
-@given(rows=_id_rows)
-@example(rows=[])
-@example(rows=[(7, "Alpha", ("a",), 1.5, -2.5, 3)])
-@example(rows=[(7, "Alpha", (), 1.0, 2.0, 3), (2, "Straße", ("B",), 3.0, 4.0, 3)])
-@settings(max_examples=200)
-def test_columns_by_id_are_the_rows_sorted_by_id(rows):
-    by_id = sorted(rows, key=lambda r: r[0])  # stable, so rows that share an id keep their order
-    c = gazetteer._columns_by_id(rows)
+@given(records=_dump_records, feature_classes=st.sampled_from([None, {"P", "A"}]))
+@example(records=[], feature_classes=None)
+@example(records=[({"entry_id": 2**63 - 1, "name": "Alpha", "lat": 1.5, "lon": -2.5, "feature_class": "P",
+                    "population": 3, "alternates": ["b ", "a", " a", ""]}, None),
+                  ({"entry_id": -2**63, "name": " Straße ", "lat": 90.0, "lon": -180.0, "feature_class": "A",
+                    "population": 0, "alternates": []}, None),
+                  ({"entry_id": 2**63 - 1, "name": "İstanbul", "lat": 0.0, "lon": 0.0, "feature_class": "P",
+                    "population": 1, "alternates": []}, None)],
+         feature_classes=None)
+@example(records=[({**_ALPHA, "feature_class": "S"}, None), (_ALPHA, "line feed in the name"),
+                  (_ALPHA, "line feed in an alternate"), ({**_ALPHA, "population": 2}, None)],
+         feature_classes={"P", "A"})
+@settings(max_examples=300)
+def test_ingest_keeps_each_ids_first_valid_kept_line_sorted_by_id(records, feature_classes):
+    lines, kept, seen = [], [], set()
+    malformed = duplicates = filtered = 0
+    for record, defect in records:
+        line = geonames_line(**{**record, "alternates": ",".join(record["alternates"]), **_DEFECTS.get(defect, {})})
+        lines.append(line.rsplit("\t", 1)[0] if defect == "too few columns" else line)
+        if defect:
+            malformed += 1
+        elif feature_classes is not None and record["feature_class"] not in feature_classes:
+            filtered += 1
+        elif record["entry_id"] in seen:
+            duplicates += 1
+        else:
+            seen.add(record["entry_id"])
+            kept.append(record)
+    kept.sort(key=lambda r: r["entry_id"])
+
+    index = ingest(lines, feature_classes)
+    c = index._columns
     assert [column.typecode for column in c.arrays()] == ["q", "q", "d", "d"]
-    assert list(c.ids) == [r[0] for r in by_id]
-    assert list(c.populations) == [r[5] for r in by_id]
-    assert list(c.lats) == [r[3] for r in by_id] and list(c.lons) == [r[4] for r in by_id]
-    assert c.names == ["\t".join((r[1], *r[2])) for r in by_id]
+    assert list(c.ids) == [r["entry_id"] for r in kept]
+    assert list(c.populations) == [r["population"] for r in kept]
+    assert list(c.lats) == [r["lat"] for r in kept] and list(c.lons) == [r["lon"] for r in kept]
+    assert c.names == [
+        "\t".join([r["name"].strip(), *sorted(set(filter(None, map(str.strip, r["alternates"]))))]) for r in kept]
+    assert index.summary == gazetteer.IngestSummary(len(kept), malformed + duplicates, filtered)
 
 
 _id_lines = st.lists(

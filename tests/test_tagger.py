@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoeval.corpus import Document, PredictionRecord, ToponymAnnotation, apply_exclusion_policy, gold_spans
-from geoeval.gazetteer import GazetteerIndex, IngestSummary, _columns_by_id
+from geoeval.gazetteer import ingest
 from geoeval.metrics import MatchMode, f_score, match_spans
 from geoeval.tagger import (
     DEFAULT_BLOCKLIST,
@@ -12,6 +12,8 @@ from geoeval.tagger import (
     token_spans,
 )
 from geoeval.taxonomy import TaxonomyType
+
+from conftest import geonames_line
 
 
 def test_token_spans_split_hyphens_and_punct():
@@ -102,8 +104,7 @@ def _tag_every_position(doc, index, blocklist=DEFAULT_BLOCKLIST, max_ngram=4):
 
 
 def _index_of(names):
-    rows = [(eid, name, (), 0.0, 0.0, 0) for eid, name in enumerate(names, start=1)]
-    return GazetteerIndex(_columns_by_id(rows), "v", IngestSummary(), None)
+    return ingest([geonames_line(eid, name, 0.0, 0.0) for eid, name in enumerate(names, start=1)])
 
 
 # Characters whose case folding is not one token: İ folds to i plus a

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build a small self-contained demo dataset under ./demo_data/.
+"""Build a small self-contained demo dataset in a directory (default ./demo_data/).
 
 Produces a Geonames-format gazetteer dump, a BRAT-annotated mini corpus
 (including one excluded demonym, one excluded facility and two expression
@@ -7,10 +7,8 @@ annotations for augmentation), and a normalization lexicon. Everything is
 deterministic; rerunning overwrites the same files.
 """
 
+import argparse
 import os
-import sys
-
-OUT_DIR = sys.argv[1] if len(sys.argv) > 1 else "demo_data"
 
 GAZETTEER_ROWS = [
     # id, name, lat, lon, fclass, fcode, country, population, alternates
@@ -97,10 +95,14 @@ LEXICON = [
 
 
 def main():
-    gold_dir = os.path.join(OUT_DIR, "gold")
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("directory", nargs="?", default="demo_data",
+                        help="directory to write the dataset into (default %(default)s)")
+    out_dir = parser.parse_args().directory
+    gold_dir = os.path.join(out_dir, "gold")
     os.makedirs(gold_dir, exist_ok=True)
 
-    dump_path = os.path.join(OUT_DIR, "gazetteer.tsv")
+    dump_path = os.path.join(out_dir, "gazetteer.tsv")
     with open(dump_path, "w", encoding="utf-8") as fh:
         for gid, name, lat, lon, fclass, fcode, cc, pop, alts in GAZETTEER_ROWS:
             fields = [
@@ -141,7 +143,7 @@ def main():
             fh.write("".join(line + "\n" for line in lines))
     print(f"wrote {len(DOCUMENTS)} documents, {n_annotations} toponym annotations -> {gold_dir}")
 
-    lexicon_path = os.path.join(OUT_DIR, "lexicon.tsv")
+    lexicon_path = os.path.join(out_dir, "lexicon.tsv")
     with open(lexicon_path, "w", encoding="utf-8") as fh:
         for surface, canonical in LEXICON:
             fh.write(f"{surface}\t{canonical}\n")

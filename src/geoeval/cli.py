@@ -51,10 +51,53 @@ class _Output(str):
     """The value of a path flag whose file the command writes."""
 
 
+class _Config(argparse.Action):
+    """--config FILE: each key of the JSON object in FILE sets the default of every subcommand flag so named.
+
+    It precedes the subcommand, so it is applied before any subcommand flag is
+    parsed: the command line still overrides it, and a required flag it supplies
+    is no longer required. A value goes through each such flag's type as if typed
+    ({"k": "2"} gives 2) and must suit every one. Each --config is applied in turn.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            config = _read_operator_file("config", path, json.load)
+        except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, too deep a nesting
+            raise InputError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise InputError(f"config {path} must be a JSON object")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for key, value in config.items():
+            dest = key.replace("-", "_")
+            flags = [(p, a) for p in sub.choices.values() for a in p._actions
+                     if a.dest == dest and dest != "help"]
+            if not flags:
+                raise InputError(f"config {path}: unknown key {key!r}")
+            if dest == "thresholds" and isinstance(value, list):
+                value = ",".join(str(t) for t in value)
+            for p, action in flags:
+                # An on/off flag takes true or false, any other flag a string or a number.
+                if isinstance(value, bool) != (action.nargs == 0) or not isinstance(value, (str, int, float)):
+                    raise InputError(f"config {path}: bad value {value!r} for {key!r}")
+                typed = value
+                if action.nargs != 0:
+                    try:
+                        typed = (action.type or str)(str(value))
+                    except (ValueError, argparse.ArgumentTypeError) as exc:
+                        raise InputError(f"config {path}: bad value {value!r} for {key!r}: {exc}") from exc
+                    if action.choices is not None and typed not in action.choices:
+                        raise InputError(f"config {path}: {key!r} must be one of {list(action.choices)}")
+                p.set_defaults(**{dest: typed})
+                action.required = False  # the config supplies it
+        setattr(namespace, self.dest, [*(getattr(namespace, self.dest) or []), path])
+
+
 def build_parser() -> argparse.ArgumentParser:
     # A path flag's type is its role, so values from --config get it too.
     parser = _Parser(prog=PROG, description=__doc__)
-    parser.add_argument("--config", type=_Input, help="JSON file with default values for any flag")
+    parser.add_argument("--config", type=_Input, action=_Config,
+                        help="JSON file with default values for any subcommand's flags (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="build and cache a gazetteer index")
@@ -153,65 +196,6 @@ def _feature_classes(value: str) -> set[str]:
     return classes
 
 
-def _config_and_command(argv: Optional[Sequence[str]]) -> tuple[Optional[str], Optional[str]]:
-    """The --config value and the subcommand in `argv`, read past every other flag.
-
-    (None, None) when `argv` cannot give them; the full parse then reports why.
-    """
-    probe = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    probe.add_argument("--config")
-    probe.add_argument("command", nargs="?")
-    try:
-        found, _ = probe.parse_known_args(argv)
-    except argparse.ArgumentError:
-        return None, None
-    return found.config, found.command
-
-
-def _apply_config(parser: argparse.ArgumentParser, command: Optional[str], path: str) -> None:
-    """Make the JSON object in `path` defaults of `command`, below the command line.
-
-    Values go through the flag's type as if typed ({"k": "2"} gives 2), and a
-    required flag the config supplies is no longer required. A key naming
-    another subcommand's flag is skipped. An unknown `command` is left to
-    the parse to report.
-    """
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if command not in sub.choices:
-        return
-    try:
-        config = _read_operator_file("config", path, json.load)
-    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, too deep a nesting
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise InputError(f"config {path} must be a JSON object")
-    flags = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
-    elsewhere = {a.dest for p in sub.choices.values() for a in p._actions if a.dest != "help"}
-    defaults = {}
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        action = flags.get(dest)
-        if action is None:
-            if dest in elsewhere:
-                continue
-            raise InputError(f"config {path}: unknown key {key!r}")
-        if dest == "thresholds" and isinstance(value, list):
-            value = ",".join(str(t) for t in value)
-        # An on/off flag takes true or false, any other flag a string or a number.
-        if isinstance(value, bool) != (action.nargs == 0) or not isinstance(value, (str, int, float)):
-            raise InputError(f"config {path}: bad value {value!r} for {key!r}")
-        if action.nargs != 0:
-            try:
-                value = (action.type or str)(str(value))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise InputError(f"config {path}: bad value {value!r} for {key!r}") from exc
-            if action.choices is not None and value not in action.choices:
-                raise InputError(f"config {path}: {key!r} must be one of {list(action.choices)}")
-        defaults[dest] = value
-        action.required = False  # the config supplies it
-    sub.choices[command].set_defaults(**defaults)
-
-
 def _read_operator_file(what: str, path: str, parse):
     """parse(fh) on the UTF-8 file at `path`; a file that cannot be read or decoded is named."""
     try:
@@ -231,7 +215,8 @@ def _same_file(a: str, b: str) -> bool:
 def _refuse_output_over_input(args: argparse.Namespace) -> None:
     """Refuse an output that is no file in an existing directory, names an input or another output,
     or lies inside an input directory."""
-    flags = [("--" + dest.replace("_", "-"), path) for dest, path in vars(args).items()]
+    flags = [("--" + dest.replace("_", "-"), path) for dest, value in vars(args).items()
+             for path in (value if isinstance(value, list) else [value])]  # one path per --config given
     inputs = [(flag, path) for flag, path in flags if isinstance(path, _Input)]
     outputs = [(flag, path) for flag, path in flags if isinstance(path, _Output)]
     for k, (out, path) in enumerate(outputs):
@@ -366,10 +351,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        # The config is applied before the parse, so that it can supply a required flag.
-        config, command = _config_and_command(argv)
-        if config is not None:
-            _apply_config(parser, command, config)
         args = parser.parse_args(argv)
         _refuse_output_over_input(args)
         return args.func(args)

@@ -433,7 +433,7 @@ class PredictionError:
 
 
 PREDICTION_FIELDS = 7
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")  # what int() reads, less "1_0" and digits like "٥"
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)  # what int() reads, less "1_0", "٥" and Unicode spaces
 
 
 def load_predictions(lines: Iterable[str]) -> tuple[list[PredictionRecord], list[PredictionError]]:

@@ -758,6 +758,62 @@ def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_pat
 
 
 @pytest.mark.parametrize(
+    "values, argv, message",
+    [
+        ({"feature-classes": "p"}, ["ingest", "--dump", "{dump}", "--cache", "{out}"],
+         "bad value 'p' for 'feature-classes': 'p': Geonames has only the feature classes AHLPRSTUV"),
+        ({"thresholds": "nan"}, ["eval-geocoding", "--gold", "{gold}", "--pred", "{pred}", "--out", "{out}"],
+         "bad value 'nan' for 'thresholds': bad value 'nan': need finite km thresholds >= 0"),
+    ],
+    ids=["feature-classes", "thresholds"],
+)
+def test_a_refused_config_value_keeps_the_flags_reason(tmp_path, capsys, values, argv, message):
+    paths = {"dump": build_cache(tmp_path)[0], "gold": build_corpus(tmp_path), "pred": tmp_path / "p.pred",
+             "out": tmp_path / "out"}
+    paths["pred"].write_text("doc1\t0\t5\tParis\tLocation\t\t\n", encoding="utf-8")
+    config = _config(tmp_path, values)
+    assert main(["--config", config, *(arg.format(**paths) for arg in argv)]) == 1
+    assert f"error: config {config}: {message}\n" in capsys.readouterr().err
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("command", [["folds", "--gold", "{gold}", "--out", "{out}"], ["nosuch"]],
+                         ids=["another-subcommand", "unknown-subcommand"])
+def test_a_config_value_must_suit_its_flag_whichever_subcommand_runs(tmp_path, capsys, command):
+    paths = {"gold": build_corpus(tmp_path), "out": tmp_path / "plan.json"}
+    config = _config(tmp_path, {"thresholds": "nan"})
+    assert main(["--config", config, *(arg.format(**paths) for arg in command)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config {config}: bad value 'nan' for 'thresholds'" in err and "invalid choice" not in err
+    assert not paths["out"].exists()
+
+
+def test_a_config_after_the_subcommand_is_an_unrecognized_argument_and_not_read(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    missing = tmp_path / "missing.json"
+    assert main(["folds", "--gold", str(gold), "--out", str(plan_path), "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: --config {missing}\n" in err and "cannot read config" not in err
+    assert not plan_path.exists()
+
+
+def test_each_config_is_applied_in_turn(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    plan_path = tmp_path / "plan.json"
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({"gold": str(gold), "out": str(plan_path), "k": 3}), encoding="utf-8")
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps({"k": 4}), encoding="utf-8")
+    assert main(["--config", str(first), "--config", str(second), "folds"]) == 0
+    assert json.loads(plan_path.read_text(encoding="utf-8"))["k"] == 4
+    assert "dealt into 4 folds" in capsys.readouterr().out
+    # Every config is an input, not only the last.
+    assert main(["--config", str(first), "--config", str(second), "folds", "--out", str(first)]) == 1
+    assert f"--out {first} would write over the input --config {first}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["folds", "--gold", "g", "--k", "x", "--out", "o"], ["nosuch"], [], ["folds", "--gold", "g"],

@@ -456,9 +456,12 @@ def test_load_predictions_mixed_errors():
      ("٠", "٥", "non-integer span: '٠', '٥'"),
      ("1_0", "1_5", "non-integer span: '1_0', '1_5'"),
      ("0", "x" * 5_000, "non-integer span: '0', 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
-     ("1.5", "9" * 5_000, "non-integer span: '1.5', '999999999999...9999999999999'")],
+     ("1.5", "9" * 5_000, "non-integer span: '1.5', '999999999999...9999999999999'"),
+     # int() strips any Unicode space, so these would load as offset 0.
+     ("\u20030", "5", "non-integer span: '\\u20030', '5'"),
+     ("0\u00a0", "5", "non-integer span: '0\\xa0', '5'")],
     ids=["digits", "signed-digits", "signed-other-digits", "other-digits", "underscores", "letters",
-         "one-not-an-integer"],
+         "one-not-an-integer", "em-space", "no-break-space"],
 )
 def test_load_predictions_reports_a_long_offset_field_in_a_short_message(start, end, message):
     records, errors = load_predictions(["doc1\t0\t5\tParis\t\t\t\n", f"doc1\t{start}\t{end}\tParis\t\t\t\n"])

@@ -18,13 +18,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 
 
-def _run(script, *args):
+def _run(script, *args, cwd=ROOT):
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *args],
-        cwd=ROOT, env=env, capture_output=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     return proc.stdout
@@ -56,3 +56,18 @@ def test_demo_reports_match_golden_files(tmp_path):
     # The step headers and the closing line name the (temporary) output directory.
     pathless = b"".join(line for line in lines if not line.startswith((b"===", b"All steps finished")))
     assert pathless == _golden("demo_stdout.txt")
+
+
+def test_each_demo_script_prints_its_help_and_writes_nothing(tmp_path):
+    for script in ("make_demo_data.py", "run_demo_pipeline.py"):
+        assert _run(script, "--help", cwd=tmp_path).startswith(f"usage: {script} [-h] [directory]".encode())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_demo_pipeline_run_from_another_directory_builds_its_data_and_matches_the_golden_files(tmp_path):
+    _run("run_demo_pipeline.py", cwd=tmp_path)
+    out = tmp_path / "demo_data" / "out"
+    for name in ("tagging.report", "geocoding.report", "augmented.conll", "gazetteer.cache",
+                 "oracle_population.pred", "dictionary_population.pred", "oracle_nudged_aligned.pred",
+                 "folds.json", "reports.csv"):
+        assert (out / name).read_bytes() == _golden("demo_" + name), name

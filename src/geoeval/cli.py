@@ -85,7 +85,7 @@ class _Config(argparse.Action):
                     try:
                         typed = (action.type or str)(str(value))
                     except (ValueError, argparse.ArgumentTypeError) as exc:
-                        raise InputError(f"config {path}: bad value {value!r} for {key!r}: {exc}") from exc
+                        raise InputError(f"config {path}: {key!r}: {exc}") from exc
                     if action.choices is not None and typed not in action.choices:
                         raise InputError(f"config {path}: {key!r} must be one of {list(action.choices)}")
                 p.set_defaults(**{dest: typed})
@@ -304,9 +304,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     total = len(result.records)
     print(f"gold annotations: {len(corpus.gold_spans(docs))} total, {len(excl.kept)} kept")
     print(f"predictions: {total} spans, {result.n_resolved} resolved, {result.n_unresolved} unresolved")
-    if total and result.n_resolved / total < resolver.MIN_RESOLVED_FRACTION:
+    if total and result.n_resolved / total < metrics.MIN_RESOLVED_FRACTION:
         print(f"warning: resolved fraction {result.n_resolved / total:.0%} below "
-              f"{resolver.MIN_RESOLVED_FRACTION:.0%}; geocoding sample may be unrepresentative",
+              f"{metrics.MIN_RESOLVED_FRACTION:.0%}; geocoding sample may be unrepresentative",
               file=sys.stderr)
     return 0
 

@@ -3,10 +3,11 @@
 Three file formats live here:
 
 * BRAT standoff (.txt + .ann): T-lines carry toponym or expression spans,
-  A-lines carry the modifier_type / non_locational attributes, N-lines
-  carry gazetteer links ("Geonames:<id>") or explicit coordinates
-  ("Coordinates:<lat>,<lon>"). Offsets are Unicode code-point offsets. A
-  span takes one value per attribute and resource: a repeat must agree.
+  A-lines the modifier_type / non_locational attributes (checked on every
+  span, kept only as an expression's head kind), N-lines gazetteer links
+  ("Geonames:<id>") or explicit coordinates ("Coordinates:<lat>,<lon>").
+  Offsets are Unicode code-point offsets. A span takes one value per
+  attribute and resource: a repeat must agree.
 * The prediction interchange format: one record per line, seven
   tab-separated fields (doc_id, start, end, surface, label, lat, lon),
   designed so external taggers/geocoders can append-stream it.
@@ -70,16 +71,12 @@ class ToponymAnnotation:
     end: int
     surface: str
     toponym_type: TaxonomyType
-    modifier_type: Optional[str] = None
-    non_locational: Optional[bool] = None
     gazetteer_id: Optional[int] = None
     coord: Optional[Coordinate] = None
 
     def __post_init__(self):
         if self.start < 0 or self.start >= self.end:
             raise ValueError(f"invalid span ({self.start}, {self.end})")
-        if self.modifier_type is not None and self.modifier_type not in MODIFIER_VALUES:
-            raise ValueError(f"modifier_type must be one of {MODIFIER_VALUES}")
 
     @property
     def span(self) -> tuple[int, int]:
@@ -261,8 +258,6 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
         if isinstance(label, TaxonomyType):
             annotations.append(ToponymAnnotation(
                 start, end, surface, label,
-                modifier_type=stored(tid, MODIFIER_ATTRIBUTE),
-                non_locational=stored(tid, NON_LOCATIONAL_ATTRIBUTE),
                 gazetteer_id=stored(tid, GAZETTEER_RESOURCE),
                 coord=stored(tid, COORDINATE_RESOURCE),
             ))
@@ -282,38 +277,26 @@ def load_brat(text: str, ann: str, doc_id: str = "") -> Document:
 
 def serialize_brat(doc: Document) -> tuple[str, str]:
     """Render a Document back to (text, ann) BRAT standoff content."""
+    for span in (*doc.annotations, *doc.expressions):
+        if "\t" in span.surface or "\r" in span.surface or "\n" in span.surface:
+            raise ValueError(f"cannot serialize surface containing a tab, CR or LF: {span.surface!r}")
     lines: list[str] = []
-    t_counter = a_counter = n_counter = 0
+    counts = dict.fromkeys("TAN", 0)
 
-    def emit_t(label: str, start: int, end: int, surface: str) -> str:
-        nonlocal t_counter
-        if "\t" in surface or "\r" in surface or "\n" in surface:
-            raise ValueError(f"cannot serialize surface containing a tab, CR or LF: {surface!r}")
-        t_counter += 1
-        tid = f"T{t_counter}"
-        lines.append(f"{tid}\t{label} {start} {end}\t{surface}")
-        return tid
-
-    def emit_a(name: str, tid: str, value: str) -> None:
-        nonlocal a_counter
-        a_counter += 1
-        lines.append(f"A{a_counter}\t{name} {tid} {value}")
-
-    def emit_n(tid: str, resource: str, entry: str, display: str) -> None:
-        nonlocal n_counter
-        n_counter += 1
-        lines.append(f"N{n_counter}\tReference {tid} {resource}:{entry}\t{display}")
+    def emit(kind: str, body: str) -> str:
+        """Append the next `kind` ("T", "A" or "N") line and return its id."""
+        counts[kind] += 1
+        line_id = f"{kind}{counts[kind]}"
+        lines.append(f"{line_id}\t{body}")
+        return line_id
 
     for ann in doc.annotations:
-        tid = emit_t(ann.toponym_type.value, ann.start, ann.end, ann.surface)
-        if ann.modifier_type is not None:
-            emit_a(MODIFIER_ATTRIBUTE, tid, ann.modifier_type)
-        if ann.non_locational is not None:
-            emit_a(NON_LOCATIONAL_ATTRIBUTE, tid, str(ann.non_locational))
+        tid = emit("T", f"{ann.toponym_type.value} {ann.start} {ann.end}\t{ann.surface}")
         if ann.gazetteer_id is not None:
-            emit_n(tid, GAZETTEER_RESOURCE, str(ann.gazetteer_id), ann.surface)
+            emit("N", f"Reference {tid} {GAZETTEER_RESOURCE}:{ann.gazetteer_id}\t{ann.surface}")
         if ann.coord is not None:
-            emit_n(tid, COORDINATE_RESOURCE, f"{ann.coord.lat!r},{ann.coord.lon!r}", ann.surface)
+            coord = f"{ann.coord.lat!r},{ann.coord.lon!r}"
+            emit("N", f"Reference {tid} {COORDINATE_RESOURCE}:{coord}\t{ann.surface}")
 
     by_span: dict[tuple[int, int], dict[ExpressionRole, ExpressionAnnotation]] = {}
     for expr in doc.expressions:
@@ -324,9 +307,9 @@ def serialize_brat(doc: Document) -> tuple[str, str]:
         head = roles.get(ExpressionRole.HEAD)
         base = context or head
         assert base is not None
-        tid = emit_t(base.kind.value, base.start, base.end, base.surface)
+        tid = emit("T", f"{base.kind.value} {base.start} {base.end}\t{base.surface}")
         if head is not None:
-            emit_a(NON_LOCATIONAL_ATTRIBUTE, tid, str(head.kind is ExpressionKind.ASSOCIATIVE))
+            emit("A", f"{NON_LOCATIONAL_ATTRIBUTE} {tid} {head.kind is ExpressionKind.ASSOCIATIVE}")
 
     ann_text = "".join(line + "\n" for line in lines)
     return doc.text, ann_text
@@ -413,7 +396,6 @@ def apply_exclusion_policy(docs: Iterable[Document], index: GazetteerIndex) -> E
                 # Built directly: dataclasses.replace costs about twice as much.
                 ann = ToponymAnnotation(
                     start=ann.start, end=ann.end, surface=ann.surface, toponym_type=ann.toponym_type,
-                    modifier_type=ann.modifier_type, non_locational=ann.non_locational,
                     gazetteer_id=ann.gazetteer_id, coord=entry.coord,
                 )
             elif (

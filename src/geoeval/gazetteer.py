@@ -345,7 +345,8 @@ def ingest_path(path: str, feature_classes: Optional[set[str]] = None) -> Gazett
     """Ingest a dump file; the index version records the dump checksum."""
     try:
         version = dump_checksum(path)
-        with open(path, encoding="utf-8-sig") as fh:
+        # Lines end at LF only: a lone CR inside a field must not split its record.
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             return ingest(fh, feature_classes=feature_classes, version=version)
     except (OSError, UnicodeDecodeError) as exc:
         raise GazetteerError(f"cannot read gazetteer dump {path}: {exc}") from exc

@@ -30,10 +30,13 @@ from . import corpus
 from .corpus import PredictionRecord, ToponymAnnotation
 from .gazetteer import GazetteerIndex
 from .geodesy import MAX_ERROR_KM, great_circle_distance
-from .resolver import MIN_RESOLVED_FRACTION
 from .stats import McNemarTable, StatTestResult, mcnemar, wilcoxon_signed_rank
 
 DEFAULT_THRESHOLD_KM = 161.0
+
+# Evaluating on fewer resolved toponyms than this fraction of the
+# geotagged ones risks an unrepresentative geocoding sample.
+MIN_RESOLVED_FRACTION = 0.5
 
 # Significance levels each paired test's verdict line is stated at.
 REPORTING_ALPHAS = (0.05, 0.01)
@@ -268,7 +271,6 @@ class GeocodingMetrics:
     median_error_km: float
     auc: float
     accuracy_at_km: dict[float, float]
-    n_errors: int
 
 
 @dataclass
@@ -295,7 +297,6 @@ def geocoding_metrics(
         median_error_km=median_error(dist),
         auc=auc(dist),
         accuracy_at_km={t: accuracy_at(dist, t) for t in thresholds_km},
-        n_errors=dist.n,
     )
 
 

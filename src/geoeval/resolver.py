@@ -21,10 +21,6 @@ from .tagger import gazetteer_tag, oracle_spans
 
 log = logging.getLogger(__name__)
 
-# Evaluating on fewer resolved toponyms than this fraction of the
-# geotagged ones risks an unrepresentative geocoding sample.
-MIN_RESOLVED_FRACTION = 0.5
-
 
 @dataclass
 class ResolutionResult:

@@ -761,9 +761,9 @@ def test_config_skips_other_subcommands_flags_and_yields_to_command_line(tmp_pat
     "values, argv, message",
     [
         ({"feature-classes": "p"}, ["ingest", "--dump", "{dump}", "--cache", "{out}"],
-         "bad value 'p' for 'feature-classes': 'p': Geonames has only the feature classes AHLPRSTUV"),
+         "'feature-classes': 'p': Geonames has only the feature classes AHLPRSTUV"),
         ({"thresholds": "nan"}, ["eval-geocoding", "--gold", "{gold}", "--pred", "{pred}", "--out", "{out}"],
-         "bad value 'nan' for 'thresholds': bad value 'nan': need finite km thresholds >= 0"),
+         "'thresholds': bad value 'nan': need finite km thresholds >= 0"),
     ],
     ids=["feature-classes", "thresholds"],
 )
@@ -784,7 +784,7 @@ def test_a_config_value_must_suit_its_flag_whichever_subcommand_runs(tmp_path, c
     config = _config(tmp_path, {"thresholds": "nan"})
     assert main(["--config", config, *(arg.format(**paths) for arg in command)]) == 1
     err = capsys.readouterr().err
-    assert f"error: config {config}: bad value 'nan' for 'thresholds'" in err and "invalid choice" not in err
+    assert f"error: config {config}: 'thresholds': bad value 'nan': " in err and "invalid choice" not in err
     assert not paths["out"].exists()
 
 

@@ -40,13 +40,22 @@ def test_single_t_line():
 def test_modifier_attribute_attached():
     ann_text = "T1\tNonLitModifier 0 7\tRussian\nA1\tmodifier_type T1 Adjective\n"
     doc = load_brat("Russian exports fell.", ann_text)
-    assert doc.annotations[0].modifier_type == "Adjective"
+    assert doc.annotations == [ToponymAnnotation(0, 7, "Russian", TaxonomyType.NON_LIT_MODIFIER)]
 
 
 def test_non_locational_attribute():
     ann_text = "T1\tDemonym 2 9\tRussian\nA1\tnon_locational T1 True\n"
     doc = load_brat("A Russian spoke.", ann_text)
-    assert doc.annotations[0].non_locational is True
+    assert doc.annotations == [ToponymAnnotation(2, 9, "Russian", TaxonomyType.DEMONYM)]
+
+
+def test_a_toponyms_attributes_are_checked_but_not_kept():
+    text = "A Russian spoke."
+    bare = load_brat(text, "T1\tDemonym 2 9\tRussian\n", doc_id="d")
+    doc = load_brat(text, "T1\tDemonym 2 9\tRussian\nA1\tmodifier_type T1 Adjective\n"
+                    "A2\tnon_locational T1 True\n", doc_id="d")
+    assert doc == bare
+    assert serialize_brat(doc) == (text, "T1\tDemonym 2 9\tRussian\n")
 
 
 def test_empty_ann_file():
@@ -119,6 +128,7 @@ def test_comment_and_relation_lines_ignored():
 
 PARIS_TEXT = "It happened in Paris."
 PARIS_T_LINE = "T1\tLiteral 15 20\tParis\n"
+PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
 
 
 @pytest.mark.parametrize(
@@ -157,12 +167,7 @@ def test_identical_repeated_values_load():
         + "A1\tnon_locational T1\n"
         + "A2\tnon_locational T1 True\n"
     )
-    ann = load_brat(PARIS_TEXT, ann_text).annotations[0]
-    assert ann.gazetteer_id == 2988507
-    assert ann.non_locational is True
-
-
-PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
+    assert load_brat(PARIS_TEXT, ann_text).annotations == [dataclasses.replace(PARIS, gazetteer_id=2988507)]
 
 
 # Each case is (ann, outcome): a (line_no, message) pair for a refused .ann,
@@ -221,7 +226,7 @@ PARIS = ToponymAnnotation(15, 20, "Paris", TaxonomyType.LITERAL)
          "N2\tReference T1 Geonames:1\tx\n",
          (2, "attribute references missing span T9")),
         ("A1\tmodifier_type T1 Noun\nN1\tReference T1 Geonames:2988507\tParis\n" + PARIS_T_LINE,
-         dataclasses.replace(PARIS, modifier_type="Noun", gazetteer_id=2988507)),
+         dataclasses.replace(PARIS, gazetteer_id=2988507)),
         (PARIS_T_LINE + "A1\tchecked T1 yes\nA2\tNegated T1\nN1\tReference T1 Wikidata:Q90\tParis\n"
          "N2\tReference T1 Wikidata:Q91\tParis\n",
          PARIS),

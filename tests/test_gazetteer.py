@@ -783,6 +783,30 @@ def test_dump_with_a_bom_ingests_its_first_row(tmp_path):
     assert index.version == dump_checksum(str(dump))  # the checksum still covers the raw bytes
 
 
+def test_a_dump_line_ends_at_lf_only(tmp_path, caplog):
+    # A lone CR inside a field stays in it: it neither splits the record nor shifts the line numbers.
+    lines = [
+        geonames_line(1, "Alpha", 1.0, 1.0),
+        geonames_line(2, "Cr\rville", 2.0, 2.0),
+        geonames_line(3, "Gamma", 3.0, 3.0).replace("2018-04", "2018\r-04"),
+        "not\ta\tvalid\tline",
+        geonames_line(5, "Epsilon", 5.0, 5.0),
+    ]
+    columns = []
+    for name, end in (("lf.tsv", "\n"), ("crlf.tsv", "\r\n")):
+        dump = tmp_path / name
+        dump.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="geoeval.gazetteer"):
+            index = ingest_path(str(dump))
+        assert (index.summary.ingested, index.summary.skipped) == (4, 1)
+        assert caplog.messages[0] == "gazetteer: skipping malformed line 4"
+        c = index._columns
+        columns.append(([list(a) for a in c.arrays()], c.names))
+    assert columns[0] == columns[1]
+    assert columns[0][1] == ["Alpha", "Cr\rville", "Gamma", "Epsilon"]
+
+
 def test_ingest_path_unreadable(tmp_path):
     with pytest.raises(GazetteerError):
         ingest_path(str(tmp_path / "missing.tsv"))

@@ -1,7 +1,8 @@
 """The geoeval runtime imports nothing outside the standard library.
 
 Every module under src/geoeval is parsed, not imported, so an import
-inside a function that no test reaches is checked as well.
+inside a function that no test reaches is checked as well. The scoring
+module is checked not to import the baseline tagger and resolver either.
 """
 
 import ast
@@ -44,3 +45,14 @@ def test_module_does_not_import_pickle(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         imports = absolute_imports(fh.read())
     assert [line for line, name in imports if name == "pickle"] == [], f"{module} imports pickle"
+
+
+def test_scoring_does_not_import_the_baseline_system():
+    # metrics scores any system's predictions, so it needs neither the baseline tagger nor its resolver.
+    with open(os.path.join(SRC, "metrics.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            relative |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert relative and not relative & {"resolver", "tagger"}

@@ -89,20 +89,14 @@ def generate_augmented(
         raise ValueError("max_per_source must be >= 1")
     doc_map = {doc.doc_id: doc for doc in docs}
 
-    heads: dict[TopLevel, list[str]] = {group: [] for group in TopLevel}
-    for expr in expressions:
-        if expr.role is ExpressionRole.HEAD:
-            heads[top_level(expr.kind)].append(expr.surface)
-    toponyms: dict[TopLevel, list[str]] = {group: [] for group in TopLevel}
+    pools: dict[TopLevel, dict[tuple[str, bool], None]] = {group: {} for group in TopLevel}
     for doc in docs:
         for ann in doc.annotations:
-            toponyms[top_level(ann.toponym_type)].append(ann.surface)
-
-    pools: dict[TopLevel, list[tuple[str, bool]]] = {}
-    for group in TopLevel:
-        pool = [(s, True) for s in dict.fromkeys(toponyms[group])]
-        pool += [(s, False) for s in dict.fromkeys(heads[group])]
-        pools[group] = pool
+            pools[top_level(ann.toponym_type)][ann.surface, True] = None
+    for expr in expressions:
+        if expr.role is ExpressionRole.HEAD:
+            pools[top_level(expr.kind)][expr.surface, False] = None
+    fillers = {group: list(pool) for group, pool in pools.items()}
 
     out: list[TaggedSentence] = []
     sentences: dict[str, list[tuple[int, int]]] = {}  # doc_id -> spans, split once per document
@@ -118,7 +112,7 @@ def generate_augmented(
             )
             continue
         group = top_level(ctx.kind)
-        pool = pools[group]
+        pool = fillers[group]
         if not pool:
             continue
         if doc.doc_id not in sentences:
@@ -135,17 +129,13 @@ def generate_augmented(
             fill_start = len(prefix)
             fill_end = fill_start + len(fill)
             tagged: TaggedSentence = []
-            inside = False
+            inside = False  # the tokens overlapping the fill are contiguous, so it never resets
             for tok_start, tok_end in token_spans(sentence):
-                token = sentence[tok_start:tok_end]
+                tag = OUTSIDE_TAG
                 if is_toponym and tok_start < fill_end and tok_end > fill_start:
                     tag = ("I-" if inside else "B-") + group.value
                     inside = True
-                else:
-                    tag = OUTSIDE_TAG
-                    if tok_start >= fill_end:
-                        inside = False
-                tagged.append((token, tag))
+                tagged.append((sentence[tok_start:tok_end], tag))
             out.append(tagged)
     return out
 

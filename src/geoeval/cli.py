@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 import traceback
 from typing import Optional, Sequence
@@ -173,7 +174,7 @@ def _thresholds(value: str) -> list[float]:
     except ValueError:
         km = []
     if not km or not all(0 <= t < math.inf for t in km):
-        raise argparse.ArgumentTypeError(f"bad value {value!r}: need finite km thresholds >= 0")
+        raise argparse.ArgumentTypeError(f"bad value {reprlib.repr(value)}: need finite km thresholds >= 0")
     return [abs(t) for t in km]  # -0 passes the check above: read it as 0
 
 
@@ -182,7 +183,7 @@ def _integer(value: str) -> int:
     try:
         return int(ascii_number(value))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad value {value!r}: need an integer in ASCII digits") from None
+        raise argparse.ArgumentTypeError(f"bad value {reprlib.repr(value)}: need an integer in ASCII digits") from None
 
 
 def _feature_classes(value: str) -> set[str]:

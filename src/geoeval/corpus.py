@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Iterable, Optional, TextIO
 
 from .gazetteer import GazetteerIndex
-from .geodesy import Coordinate, ascii_number
+from .geodesy import Coordinate, ascii_float, ascii_number
 from .taxonomy import NON_LOCATIONAL_TYPES, ExpressionKind, TaxonomyType
 
 log = logging.getLogger(__name__)
@@ -166,13 +166,13 @@ def _parse_value(kind: str, name: str, raw: Optional[str]):
         try:
             return int(ascii_number(raw))
         except ValueError:
-            raise ValueError(f"bad gazetteer id {raw!r}") from None
+            raise ValueError(f"bad gazetteer id {reprlib.repr(raw)}") from None
     if kind == "N" and name == COORDINATE_RESOURCE:
         try:
             lat_s, lon_s = raw.split(",")
-            return Coordinate(float(ascii_number(lat_s)), float(ascii_number(lon_s)))
+            return Coordinate(ascii_float(lat_s), ascii_float(lon_s))
         except ValueError as exc:
-            raise ValueError(f"bad coordinate value {raw!r}: {exc}") from None
+            raise ValueError(f"bad coordinate value {reprlib.repr(raw)}: {exc}") from None
     return None
 
 
@@ -450,7 +450,7 @@ def load_predictions(lines: Iterable[str]) -> tuple[list[PredictionRecord], list
             errors.append(PredictionError(line_no, "lat and lon must both be present or both empty"))
             continue
         try:
-            coord = Coordinate(float(ascii_number(lat_s)), float(ascii_number(lon_s))) if lat_s else None
+            coord = Coordinate(ascii_float(lat_s), ascii_float(lon_s)) if lat_s else None
             records.append(PredictionRecord(doc_id, start, end, surface, label or None, coord))
         except ValueError as exc:
             errors.append(PredictionError(line_no, str(exc)))

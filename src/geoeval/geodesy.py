@@ -9,6 +9,7 @@ below 0.5% and immaterial at the 161 km tolerances used downstream.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 # IUGG mean Earth radius, km.
@@ -48,7 +49,16 @@ def ascii_number(text: str) -> str:
     """
     if text.isascii() and "_" not in text:
         return text
-    raise ValueError(f"not a number in ASCII digits: {text!r}")
+    raise ValueError(f"not a number in ASCII digits: {reprlib.repr(text)}")
+
+
+def ascii_float(text: str) -> float:
+    """float(ascii_number(text)); a refusal quotes `text` through reprlib.repr, not whole as float() does."""
+    number = ascii_number(text)
+    try:
+        return float(number)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {reprlib.repr(text)}") from None
 
 
 def great_circle_distance(a: Coordinate, b: Coordinate) -> float:

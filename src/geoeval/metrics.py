@@ -427,6 +427,12 @@ def evaluate(
     return report
 
 
+def threshold_label(km: float) -> str:
+    """`km` as `:g` writes it when that reads back as the same float, else its repr."""
+    label = f"{km:g}"
+    return label if float(label) == km else repr(km)
+
+
 def render_report(report: EvalReport) -> str:
     """Machine-readable key/value report, one field per line."""
     lines = [
@@ -456,7 +462,7 @@ def render_report(report: EvalReport) -> str:
             f"auc: {g.auc:.6f}",
         ]
         for threshold in sorted(g.accuracy_at_km):
-            lines.append(f"accuracy_at_{threshold:g}km: {g.accuracy_at_km[threshold]:.6f}")
+            lines.append(f"accuracy_at_{threshold_label(threshold)}km: {g.accuracy_at_km[threshold]:.6f}")
     for test in report.stat_tests:
         lines.append(
             f"stat_test: {test.name} statistic={test.statistic:.6g} "
@@ -494,7 +500,7 @@ def report_csv_rows(report: EvalReport) -> list[list[str]]:
     head += [t.precision, t.recall, t.f] if t else [None] * 3
     head += [g.mean_error_km, g.median_error_km, g.auc] if g else [None] * 3
     tail = [test.name, test.statistic, test.p_value, test.n] if test else [None] * 4
-    accuracies = [(f"{km:g}", acc) for km, acc in sorted(g.accuracy_at_km.items())] if g else [(None, None)]
+    accuracies = [(threshold_label(km), acc) for km, acc in sorted(g.accuracy_at_km.items())] if g else [(None, None)]
     return [[fmt(v) for v in (*head, km, acc, *tail)] for km, acc in accuracies]
 
 

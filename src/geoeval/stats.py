@@ -13,6 +13,7 @@ table interpolation, so results are bit-reproducible across platforms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -85,29 +86,6 @@ def mcnemar(table: McNemarTable, corrected: bool = True) -> StatTestResult:
     return StatTestResult("mcnemar", statistic, chi2_sf_1dof(statistic), n, note)
 
 
-def _midranks(values: Sequence[float]) -> tuple[list[float], float]:
-    """Ranks of sorted values with ties mid-ranked; returns the tie term.
-
-    The tie term is sum(t^3 - t) over tie groups, used for the optional
-    variance correction.
-    """
-    n = len(values)
-    ranks = [0.0] * n
-    tie_term = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        rank = (i + j + 2) / 2.0  # average of 1-based ranks i+1 .. j+1
-        for k in range(i, j + 1):
-            ranks[k] = rank
-        t = j - i + 1
-        tie_term += t * t * t - t
-        i = j + 1
-    return ranks, tie_term
-
-
 def wilcoxon_signed_rank(
     errors_a: Sequence[float],
     errors_b: Sequence[float],
@@ -115,24 +93,29 @@ def wilcoxon_signed_rank(
 ) -> StatTestResult:
     """Two-tailed Wilcoxon signed-rank test over paired error lists.
 
-    Zero differences are dropped (n counts the pairs left) and tied
-    absolute differences are mid-ranked. The statistic is z, from the
-    plain variance n(n+1)(2n+1)/24 by default; tie_corrected_variance
-    subtracts the tie term (matching common library implementations).
-    z is positive when errors_a tend to exceed errors_b, and flips sign
-    exactly when the arguments swap.
+    Zero differences are dropped (n counts the pairs left). Each run of t
+    equal |d| shares the mean of the t ranks it spans and adds t^3 - t to
+    the tie term; W+ sums the ranks of the positive d. The statistic is z,
+    from the plain variance n(n+1)(2n+1)/24 by default; tie_corrected_variance
+    subtracts tie term / 48, as common library implementations do. z is
+    positive when errors_a tend to exceed errors_b, and flips sign exactly
+    when the arguments swap.
     """
     if len(errors_a) != len(errors_b):
         raise ValueError("paired samples must have equal length")
-    diffs = [a - b for a, b in zip(errors_a, errors_b) if a != b]
+    diffs = sorted((a - b for a, b in zip(errors_a, errors_b) if a != b), key=abs)
     n = len(diffs)
     if n == 0:
         return StatTestResult("wilcoxon", 0.0, 1.0, 0, "all differences zero")
 
-    order = sorted(range(n), key=lambda i: abs(diffs[i]))
-    sorted_abs = [abs(diffs[i]) for i in order]
-    ranks, tie_term = _midranks(sorted_abs)
-    w_plus = math.fsum(rank for idx, rank in zip(order, ranks) if diffs[idx] > 0)
+    rank_sums, tie_term, below = [], 0.0, 0
+    for _, run in itertools.groupby(diffs, key=abs):
+        positive = [d > 0 for d in run]
+        t = len(positive)
+        rank_sums.append((2 * below + t + 1) / 2.0 * sum(positive))  # mean of ranks below+1 .. below+t
+        tie_term += t * t * t - t
+        below += t
+    w_plus = math.fsum(rank_sums)
 
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0
@@ -168,26 +151,17 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iterations + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < fpmin:
+                d = fpmin
+            c = 1.0 + aa / c
+            if abs(c) < fpmin:
+                c = fpmin
+            d = 1.0 / d
+            h *= d * c
+        if abs(d * c - 1.0) < eps:
             break
     return h
 

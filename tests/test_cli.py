@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoeval.cli import build_parser, main
-from geoeval.corpus import Document, ToponymAnnotation, load_directory, load_predictions, serialize_brat
-from geoeval.geodesy import Coordinate
+from geoeval.corpus import (
+    BratParseError, Document, ToponymAnnotation, load_brat, load_directory, load_predictions, serialize_brat,
+)
+from geoeval.geodesy import Coordinate, ascii_number
 from geoeval.metrics import MatchMode, evaluate, render_report
 from geoeval.taxonomy import TaxonomyType
 
@@ -488,6 +490,60 @@ def test_a_threshold_of_minus_zero_reads_as_zero(tmp_path):
     assert [line.split(":")[0] for line in lines if line.startswith("accuracy_at_")] == ["accuracy_at_0km"]
     with open(csv_path, newline="", encoding="utf-8") as fh:
         assert [row["threshold_km"] for row in csv.DictReader(fh)] == ["0"]
+
+
+def test_each_threshold_label_reads_back_as_its_threshold(tmp_path):
+    # Six significant digits would label the first two "161" and the third "1234.57".
+    gold = build_corpus(tmp_path)
+    _, cache = build_cache(tmp_path)
+    pred = tmp_path / "p.pred"
+    pred.write_text("doc1\t0\t5\tParis\tLocation\t48.856600\t2.352200\n", encoding="utf-8")
+    report, csv_path = tmp_path / "r.txt", tmp_path / "rows.csv"
+    assert main([
+        "eval-geocoding", "--gold", str(gold), "--pred", str(pred), "--cache", str(cache),
+        "--out", str(report), "--csv", str(csv_path), "--thresholds", "5,161,161.0000001,1234.5678",
+    ]) == 0
+    labels = ["5", "161", "161.0000001", "1234.5678"]
+    lines = report.read_text(encoding="utf-8").splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("accuracy_at_")] == [
+        f"accuracy_at_{label}km" for label in labels
+    ]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert [row["threshold_km"] for row in csv.DictReader(fh)] == labels
+
+
+def _brat_refusal(value):
+    with pytest.raises(BratParseError) as exc_info:
+        load_brat("Paris", f"T1\tLiteral 0 5\tParis\nN1\tReference T1 {value}\tParis\n")
+    return str(exc_info.value)
+
+
+def _ascii_number_refusal(text):
+    with pytest.raises(ValueError) as exc_info:
+        ascii_number(text)
+    return str(exc_info.value)
+
+
+def _cli_refusal(argv, capsys):
+    assert main(argv) == 1
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "refusal",
+    [lambda _: _ascii_number_refusal("٥" * 5_000),
+     lambda _: _brat_refusal("Geonames:" + "9" * 5_000),
+     lambda _: _brat_refusal("Coordinates:0," + "x" * 5_000),
+     lambda _: load_predictions(["d\t0\t5\tParis\tLocation\t" + "x" * 5_000 + "\t2\n"])[1][0].message,
+     lambda capsys: _cli_refusal(["folds", "--gold", "g", "--k", "9" * 5_000, "--out", "o"], capsys),
+     lambda capsys: _cli_refusal(["eval-geocoding", "--gold", "g", "--pred", "p", "--out", "o",
+                                  "--thresholds", "x" * 5_000], capsys)],
+    ids=["ascii_number", "brat-gazetteer-id", "brat-coordinates", "pred-coordinate", "cli-integer",
+         "cli-thresholds"],
+)
+def test_a_refused_long_field_is_quoted_in_a_short_message(refusal, capsys):
+    message = refusal(capsys)
+    assert "..." in message and len(message) < 200
 
 
 @pytest.mark.parametrize("ending", ["", "\r"], ids=["no-line-end", "cr-line-end"])

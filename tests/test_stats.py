@@ -1,14 +1,17 @@
 import math
+from collections import Counter
 
 import pytest
+import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geoeval.stats import (
     FoldPlan,
     McNemarTable,
     PairedTResult,
+    betainc_reg,
     chi2_sf_1dof,
     make_folds,
     mcnemar,
@@ -148,6 +151,47 @@ class TestWilcoxon:
         rev = wilcoxon_signed_rank(b, a)
         assert 0.0 <= fwd.p_value <= 1.0
         assert fwd.statistic == -rev.statistic or (fwd.statistic == 0.0 and rev.statistic == 0.0)
+
+    @given(
+        diffs=st.lists(
+            st.sampled_from([0.5, 1.0, 2.0, 7.25]).flatmap(lambda m: st.sampled_from([m, -m])),
+            min_size=1, max_size=60,
+        )
+    )
+    @settings(max_examples=200)
+    def test_mixed_sign_tie_runs_match_a_midrank_oracle(self, diffs):
+        # A few magnitudes drawn with either sign give runs of equal |d| holding both signs.
+        n = len(diffs)
+        ranks = scipy.stats.rankdata([abs(d) for d in diffs], method="average")
+        w_plus = math.fsum(float(r) for r, d in zip(ranks, diffs) if d > 0)
+        tie_term = sum(t**3 - t for t in Counter(abs(d) for d in diffs).values())
+        mean = n * (n + 1) / 4.0
+        variance = n * (n + 1) * (2 * n + 1) / 24.0
+        a, b = [100.0 + d for d in diffs], [100.0] * n
+        plain = wilcoxon_signed_rank(a, b)
+        corrected = wilcoxon_signed_rank(a, b, tie_corrected_variance=True)
+        assert plain.n == corrected.n == n
+        assert plain.statistic * math.sqrt(variance) + mean == pytest.approx(w_plus, abs=1e-9)
+        assert plain.statistic == pytest.approx((w_plus - mean) / math.sqrt(variance), rel=1e-12, abs=1e-12)
+        corrected_z = (w_plus - mean) / math.sqrt(variance - tie_term / 48.0)
+        assert corrected.statistic == pytest.approx(corrected_z, rel=1e-12, abs=1e-12)
+
+
+class TestBetaincReg:
+    @given(
+        a=st.floats(0.5, 60),
+        b=st.floats(0.5, 60),
+        u=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        below=st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_against_scipy_on_both_sides_of_the_switch(self, a, b, u, below):
+        # Below (a + 1) / (a + b + 2) the continued fraction is taken at (a, b, x),
+        # above it at (b, a, 1 - x); `below` picks the side and u the place on it.
+        cut = (a + 1.0) / (a + b + 2.0)
+        x = cut * u if below else cut + (1.0 - cut) * u
+        assume(0.0 < x < 1.0 and (x < cut) == below)
+        assert betainc_reg(a, b, x) == pytest.approx(float(scipy.special.betainc(a, b, x)), rel=1e-9)
 
 
 class TestStudentT:

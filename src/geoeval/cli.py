@@ -197,10 +197,10 @@ def _feature_classes(value: str) -> set[str]:
     return classes
 
 
-def _read_operator_file(what: str, path: str, parse):
+def _read_operator_file(what: str, path: str, parse, newline: Optional[str] = None):
     """parse(fh) on the UTF-8 file at `path`; a file that cannot be read or decoded is named."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return parse(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
@@ -244,7 +244,8 @@ def _load_gold(path: str) -> list[corpus.Document]:
 
 
 def _load_predictions(path: str, lenient: bool) -> list[corpus.PredictionRecord]:
-    records, errors = _read_operator_file("predictions", path, corpus.load_predictions)
+    # A .pred line ends at LF only; load_predictions strips a CRLF's CR.
+    records, errors = _read_operator_file("predictions", path, corpus.load_predictions, newline="\n")
     if errors:
         for err in errors[:10]:
             print(f"{path}:{err.line_no}: {err.message}", file=sys.stderr)

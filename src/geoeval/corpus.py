@@ -121,11 +121,11 @@ class PredictionRecord:
         # The interchange format is one tab-separated record per line.
         if "\t" in self.doc_id or "\n" in self.doc_id or "\r" in self.doc_id:
             raise ValueError(f"document id {self.doc_id!r} contains a tab or line break")
-        if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
-            raise ValueError(
-                f"{self.doc_id} ({self.start}, {self.end}): surface {self.surface!r} "
-                "contains a tab or line break"
-            )
+        for name, value in (("surface", self.surface), ("label", self.predicted_label or "")):
+            if "\t" in value or "\n" in value or "\r" in value:
+                raise ValueError(
+                    f"{self.doc_id} ({self.start}, {self.end}): {name} {value!r} contains a tab or line break"
+                )
 
     @property
     def span(self) -> tuple[int, int]:
@@ -319,11 +319,12 @@ def load_document_pair(txt_path: str, ann_path: str) -> Document:
     doc_id = os.path.splitext(os.path.basename(txt_path))[0]
     # newline="" keeps "\r\n" as two code points, as BRAT offsets count
     # them; a UTF-8 BOM is kept as U+FEFF and counted too. The .ann holds
-    # no offsets into itself, so its BOM is dropped.
+    # no offsets into itself, so its BOM is dropped; it is read with
+    # newline="" too, as load_brat ends its lines at LF only.
     try:
         with open(txt_path, encoding="utf-8", newline="") as fh:
             text = fh.read()
-        with open(ann_path, encoding="utf-8-sig") as fh:
+        with open(ann_path, encoding="utf-8-sig", newline="") as fh:
             ann = fh.read()
     except UnicodeDecodeError as exc:
         raise BratParseError(f"{fh.name}: {exc}") from exc

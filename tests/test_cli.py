@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -352,6 +354,26 @@ def test_malformed_predictions_strict_vs_lenient(tmp_path, capsys):
     assert main([
         "eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(report), "--lenient",
     ]) == 0
+
+
+def test_a_pred_line_ends_at_lf_only_so_errors_name_the_files_own_lines(tmp_path, capsys):
+    gold = build_corpus(tmp_path)
+    pred = tmp_path / "cr.pred"
+    pred.write_bytes(b"doc1\t0\t5\tPar\ris\tLocation\t\t\nnot a record\n")
+    assert main(["eval-tagging", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path / "r.txt")]) == 1
+    messages = [line for line in capsys.readouterr().err.splitlines() if line.startswith(f"{pred}:")]
+    assert messages == [
+        f"{pred}:1: doc1 (0, 5): surface 'Par\\ris' contains a tab or line break",
+        f"{pred}:2: expected 7 fields, got 1",
+    ]
+
+
+def test_python_m_geoeval_prints_its_help():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "geoeval", "--help"], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert b"eval-tagging" in proc.stdout
 
 
 def test_bad_gold_line_names_its_ann_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import logging
 import os
+import re
 
 import pytest
 
@@ -488,6 +489,16 @@ def test_predictions_write_read_roundtrip():
     assert reread[1] == records[1]
 
 
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+def test_a_label_with_a_tab_or_line_break_is_refused_as_it_would_not_read_back(char):
+    label = f"LOC{char}GPE"
+    with pytest.raises(ValueError, match=re.escape(f"d (0, 5): label {label!r} contains a tab or line break")):
+        PredictionRecord("d", 0, 5, "Paris", label)
+    # The line such a record would be written as gives no record back.
+    records, errors = load_predictions(io.StringIO(f"d\t0\t5\tParis\t{label}\t\t\n", newline="\n"))
+    assert records == [] and errors
+
+
 def test_load_directory(tmp_path):
     write_brat_doc(tmp_path, "b_doc", "London calling.", "T1\tLiteral 0 6\tLondon\n")
     write_brat_doc(tmp_path, "a_doc", "Paris sleeps.", "T1\tLiteral 0 5\tParis\n")
@@ -546,6 +557,15 @@ def test_load_directory_crlf_text(tmp_path):
     assert doc.text == text
     assert [(a.start, a.surface) for a in doc.annotations] == [(13, "Paris"), (29, "London")]
     assert all(doc.text[a.start:a.end] == a.surface for a in doc.annotations)
+
+
+def test_load_directory_keeps_a_lone_cr_inside_an_ann_line(tmp_path):
+    # An .ann line ends at LF only, so a CR in a surface is a character of it.
+    text = "Visit Paris\rTexas today."
+    (tmp_path / "cr.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "cr.ann").write_bytes("T1\tLiteral 6 17\tParis\rTexas\n".encode("utf-8"))
+    (doc,) = load_directory(str(tmp_path))
+    assert [(a.start, a.end, a.surface) for a in doc.annotations] == [(6, 17, "Paris\rTexas")]
 
 
 def test_load_directory_bom_counted_in_offsets(tmp_path):

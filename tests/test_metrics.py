@@ -109,6 +109,13 @@ class TestMatchSpans:
             ("a", (0, 6), "a", (0, 6)), ("b", (0, 6), "b", (0, 6)),
         ]
 
+    def test_exact_passes_over_a_containing_prediction_for_the_identical_one(self):
+        # Both overlap the gold span by 5; (0, 20) sorts first, so only exact mode's filter skips it.
+        gold = [_gold("d", 5, 10)]
+        pred = [_pred("d", 0, 20), _pred("d", 5, 10)]
+        assert [rec.span for _, rec in match_spans(gold, pred, MatchMode.EXACT).pairs] == [(5, 10)]
+        assert [rec.span for _, rec in match_spans(gold, pred, MatchMode.OVERLAP).pairs] == [(0, 20)]
+
 
 def _oracle_match_pairs(gold, pred, mode):
     """The quadratic greedy matcher: each gold span, in (start, end) order,
